@@ -46,10 +46,6 @@ class ExtractionMethod(enum.Enum):
     CROSSJUMP = "crossjump"
 
 
-def _writes_sp(insn: Instruction) -> bool:
-    return SP in insn.regs_written()
-
-
 def _uses_sp(insn: Instruction) -> bool:
     return SP in insn.regs_read() or SP in insn.regs_written()
 

@@ -2,6 +2,10 @@
 and the composition that motivated it (a frameless sp user swallowed by
 a later ``push {lr}`` bracket clobbering the saved return address)."""
 
+import pytest
+
+from repro import telemetry
+from repro.pa.sfx import run_sfx
 from repro.verify.absint import (
     AUDIT_SCHEMA,
     CALLER_WRITE,
@@ -13,8 +17,11 @@ from repro.verify.absint import (
     audit_module,
     module_summaries,
 )
+from repro.verify.cfg import build_module_cfg
+from repro.workloads.suite import PROGRAMS, compile_workload
 
 from tests.conftest import SHARED_FRAGMENT_PROGRAM, module_from_source
+from tests.pa.test_sp_fragile_regression import COMPOSITION_PROGRAM
 
 BALANCED = """
 _start:
@@ -194,3 +201,40 @@ def test_payload_shape():
 
 def test_error_kinds_cover_exactly_the_unsound_events():
     assert ERROR_KINDS == {RETADDR_CLOBBER, HEIGHT_MISMATCH}
+
+
+def counted_audit(module):
+    """Audit *module* with telemetry on; return the result, the CFG and
+    the solver/audit counters the run left behind."""
+    cfg = build_module_cfg(module)
+    registry = telemetry.get()
+    registry.reset()
+    registry.enable()
+    try:
+        result = audit_module(module, cfg)
+        counters = {name: c.value for name, c in registry.counters.items()}
+    finally:
+        registry.disable()
+        registry.reset()
+    return result, cfg, counters
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_fragile_free_workload_takes_one_cheap_solve(name):
+    """Host-independent work bound: a module without fragile functions
+    is solved once, at no more than two block visits per CFG block."""
+    result, cfg, counters = counted_audit(compile_workload(name))
+    assert not any(s.fragile for s in result.summaries.values())
+    assert result.iterations == 1
+    assert counters["verify.audit.iterations"] == 1
+    assert counters["verify.solver.runs"] == 1
+    assert counters["verify.solver.iterations"] <= 2 * len(cfg.keys)
+
+
+def test_fragile_helper_takes_a_second_solve():
+    module = module_from_source(COMPOSITION_PROGRAM)
+    run_sfx(module)
+    result, __, counters = counted_audit(module)
+    assert any(s.fragile for s in result.summaries.values())
+    assert result.iterations == 2
+    assert counters["verify.solver.runs"] == 2
