@@ -46,13 +46,13 @@ report) and ``--ledger-out FILE`` (the decision ledger as JSONL, schema
 :mod:`repro.report.ledger`; ``explain`` renders the same records as
 text, either by re-running a workload or replaying ``--ledger FILE``.
 
-Scale (see ``src/repro/scale/``): ``pa``, ``table1`` and ``profile``
-accept ``--workers N`` (shard the block DFGs into independent clusters
-and mine them on N worker processes; ``N=1`` runs the same sharded
-engine in-process) and ``--fragment-cache DIR`` (persist the
-content-addressed shard cache across runs; implies ``--workers 1``).
-The sharded engine's output is bit-identical for every worker count and
-every cache state — only wall-clock changes.
+Scale (see ``src/repro/scale/``): every round shards the block DFGs
+into independent clusters and mines them; ``pa``, ``table1`` and
+``profile`` accept ``--workers N`` (mine on N worker processes; the
+default 1 mines in-process) and ``--fragment-cache DIR`` (persist the
+content-addressed shard cache across runs).  The output is
+bit-identical for every worker count and every cache state — only
+wall-clock changes.
 
 Observability (see :mod:`repro.telemetry`): the same three commands
 accept ``--progress`` (a live one-line status on stderr),
@@ -195,28 +195,27 @@ def _add_telemetry_args(parser) -> None:
 
 def _add_scale_args(parser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="mine with the sharded scale engine on N worker processes "
-             "(1 = sharded but in-process); the result is bit-identical "
-             "for every N >= 1 and every cache state.  Default 0 keeps "
-             "the legacy serial engine",
+        "--workers", type=int, default=None, metavar="N",
+        help="mine the shards on N worker processes (default 1: "
+             "in-process); the result is bit-identical for every N and "
+             "every cache state",
     )
     parser.add_argument(
         "--fragment-cache", metavar="DIR",
         help="persist the content-addressed fragment cache under DIR so "
-             "later runs skip re-mining unchanged shards (implies the "
-             "in-memory cache the scale engine always uses)",
+             "later runs skip re-mining unchanged shards (default: an "
+             "in-memory cache for the run)",
     )
     parser.add_argument(
         "--shard-retries", type=int, default=None, metavar="N",
         help="redeliveries per shard before it falls back to an "
-             "in-parent serial re-mine and then quarantine (scale "
-             "engine; default 2).  Retries re-run the same pure mine, "
-             "so the crash/retry schedule never changes results",
+             "in-parent serial re-mine and then quarantine (default 2).  "
+             "Retries re-run the same pure mine, so the crash/retry "
+             "schedule never changes results",
     )
     parser.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard soft timeout (scale engine, 2+ workers): a "
+        help="per-shard soft timeout (2+ workers): a "
              "shard in flight longer than this has its worker killed "
              "and is redelivered.  Default: no timeout",
     )
@@ -357,8 +356,8 @@ def _shard_imbalance_table(registry) -> str:
     """Per-shard mining wall-clock table (``profile``, scale engine).
 
     Aggregated from the ``scale.shard.timing`` events the pool parent
-    emits per mined shard; empty string when none were recorded (serial
-    engine, or every shard came from the cache)."""
+    emits per mined shard; empty string when none were recorded (every
+    shard came from the cache)."""
     seconds = {}
     nodes = {}
     rounds = {}
@@ -444,11 +443,10 @@ def cmd_pa(args) -> int:
         sys.exit("error: --verify/--checkpoint/--resume need a graph "
                  "engine; the sfx baseline does not go through the "
                  "round loop they hook")
-    if args.engine == "sfx" and (args.workers or args.fragment_cache):
+    if args.engine == "sfx" and (args.workers is not None
+                                 or args.fragment_cache):
         sys.exit("error: --workers/--fragment-cache need a graph "
                  "engine; the sfx baseline does not mine shards")
-    if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies the scale engine
     for spec in args.fault or ():
         try:
             faultinject.arm(spec)
@@ -474,14 +472,10 @@ def cmd_pa(args) -> int:
         config = config_from_dict(resume.config)
         config.checkpoint_path = args.checkpoint
         # Worker count and cache directory are machine-local execution
-        # knobs — the scale engine's output is worker-count- and
-        # cache-state-independent, so overriding them cannot change the
-        # resumed result.  Switching engines (serial <-> scale) would.
-        if args.workers and not config.workers:
-            sys.exit("error: the checkpointed run used the serial "
-                     "engine; --workers on resume would change its "
-                     "decisions (re-run from scratch instead)")
-        if args.workers:
+        # knobs — the output is worker-count- and cache-state-
+        # independent, so overriding them cannot change the resumed
+        # result.
+        if args.workers is not None:
             config.workers = args.workers
         if args.fragment_cache:
             config.fragment_cache = args.fragment_cache
@@ -497,7 +491,7 @@ def cmd_pa(args) -> int:
             verify=args.verify,
             verify_max_retries=args.verify_max_retries,
             checkpoint_path=args.checkpoint,
-            workers=args.workers,
+            workers=args.workers or 1,
             fragment_cache=args.fragment_cache,
         )
         _apply_shard_policy(config, args)
@@ -687,8 +681,6 @@ def cmd_lint(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies the scale engine
     traced = _telemetry_begin(args)
     rows = []
     with _progress_scope(args):
@@ -705,7 +697,7 @@ def cmd_table1(args) -> int:
                     else:
                         config = PAConfig(
                             miner=engine, time_budget=args.time_budget,
-                            workers=args.workers,
+                            workers=args.workers or 1,
                             fragment_cache=args.fragment_cache)
                         _apply_shard_policy(config, args)
                         result = run_pa(module, config)
@@ -749,8 +741,6 @@ def cmd_profile(args) -> int:
     if args.verify and args.engine == "sfx":
         sys.exit("error: --verify needs a graph engine; the sfx baseline "
                  "does not go through the round loop the validator hooks")
-    if args.fragment_cache and not args.workers:
-        args.workers = 1     # a persistent cache implies the scale engine
     _telemetry_begin(args, force=True)
     module = _load_source(args.source, args.assembly)
     before = module.num_instructions
@@ -763,7 +753,7 @@ def cmd_profile(args) -> int:
                 max_nodes=args.max_nodes,
                 time_budget=args.time_budget,
                 verify=args.verify,
-                workers=args.workers,
+                workers=args.workers or 1,
                 fragment_cache=args.fragment_cache,
             )
             _apply_shard_policy(config, args)

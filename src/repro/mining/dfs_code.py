@@ -25,11 +25,6 @@ EdgeTuple = Tuple[int, int, int, int, int, int]
 DFSCode = Tuple[EdgeTuple, ...]
 
 
-def is_forward(edge: EdgeTuple) -> bool:
-    """Forward edges discover a new node: ``i < j``."""
-    return edge[0] < edge[1]
-
-
 def compare_edges(e1: EdgeTuple, e2: EdgeTuple) -> int:
     """gSpan's DFS lexicographic edge order (directed variant).
 

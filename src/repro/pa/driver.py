@@ -1,9 +1,10 @@
 """The iterative procedural-abstraction loop (paper §2.1 step 8).
 
-Each round rebuilds the DFG database, mines it, scores every frequent
-fragment (legality -> maximum independent set of non-overlapping
-occurrences -> order-consistency), extracts the single candidate with
-the highest code-size benefit, and restarts — "after extraction, phase
+Each round rebuilds the DFG database, mines it shard by shard
+(:mod:`repro.scale`), scores every frequent fragment (legality ->
+maximum independent set of non-overlapping occurrences ->
+order-consistency), extracts the single candidate with the highest
+code-size benefit, and restarts — "after extraction, phase
 (6) is repeated as long as code fragments are found that reduce the
 overall number of instructions in the program".
 """
@@ -16,9 +17,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.binary.program import Module
 from repro.dfg.builder import build_dfgs
-from repro.dfg.graph import FLOW_KINDS, MINED_KINDS
-from repro.mining.edgar import Edgar, non_overlapping_embeddings
-from repro.mining.gspan import DgSpan
+from repro.dfg.graph import MINED_KINDS
 from repro.report.dot import collision_to_dot, dfg_to_dot, fragment_to_dot
 from repro.report.ledger import GLOBAL as _LEDGER, LEDGER_SCHEMA
 from repro.resilience import checkpoint as _ckpt
@@ -27,25 +26,9 @@ from repro.resilience.governor import RunGovernor, activate
 from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.telemetry import progress as _progress
 
-from repro.pa.extract import (
-    call_site_feasible,
-    extract_call,
-    extract_crossjump,
-    order_consistent_subset,
-)
-from repro.pa.fragments import (
-    Candidate,
-    best_possible_benefit,
-    call_benefit,
-    call_overhead,
-    crossjump_benefit,
-    score,
-)
-from repro.pa.legality import (
-    ExtractionMethod,
-    legal_embeddings,
-    sp_fragile_functions,
-)
+from repro.pa.extract import extract_call, extract_crossjump
+from repro.pa.fragments import Candidate
+from repro.pa.legality import ExtractionMethod
 from repro.pa.liveness import lr_live_out_blocks
 from repro.verify.validate import (
     TranslationValidationError,
@@ -103,26 +86,23 @@ class PAConfig:
     #: completed round (schema ``repro.resilience.ckpt/1``); resuming
     #: from it reproduces the uninterrupted run bit-identically.
     checkpoint_path: Optional[str] = None
-    #: 0 = the legacy serial engine (exactly the historical pipeline).
-    #: N >= 1 selects the *scale* engine (:mod:`repro.scale`): the DFG
-    #: database is pre-clustered into independent shards, mined with
-    #: shard-local benefit floors (N worker processes; 1 = in-process)
-    #: and merged deterministically — the result is bit-identical for
-    #: every worker count and cache state.  Carryover warm-starting is
-    #: disabled in scale mode: the fragment cache subsumes it (an
-    #: untouched shard is a cache hit), and warm floors would make
-    #: shard results depend on history, poisoning content-addressing.
-    workers: int = 0
-    #: Directory for the persistent fragment cache (scale engine only);
-    #: None keeps the cache in-memory for the run.
+    #: Mining processes.  Every round pre-clusters the DFG database
+    #: into independent shards (:mod:`repro.scale`), mines them with
+    #: shard-local benefit floors — in-process for 1, on N worker
+    #: processes otherwise — and merges deterministically: the result
+    #: is bit-identical for every worker count and cache state.  Values
+    #: below 1 (the ``0`` of old checkpoints) mean 1.
+    workers: int = 1
+    #: Directory for the persistent fragment cache; None keeps the
+    #: cache in-memory for the run.
     fragment_cache: Optional[str] = None
     #: Redeliveries per shard before it falls back to an in-parent
-    #: serial re-mine and then quarantine (scale engine; see
-    #: :mod:`repro.scale.supervise`).  Retries re-run the same pure
-    #: function, so the crash/retry schedule never changes results.
+    #: serial re-mine and then quarantine (see :mod:`repro.scale.supervise`).
+    #: Retries re-run the same pure function, so the crash/retry
+    #: schedule never changes results.
     shard_retries: int = 2
-    #: Per-shard soft timeout (seconds; scale engine, ``workers >= 2``):
-    #: a shard in flight longer than this has its worker killed and is
+    #: Per-shard soft timeout (seconds; ``workers >= 2``): a shard in
+    #: flight longer than this has its worker killed and is
     #: redelivered.  None disables the timeout.
     shard_timeout: Optional[float] = None
     #: Raise a typed ShardError (exit 7) when a shard is quarantined
@@ -170,10 +150,10 @@ class PAResult:
     rolled_back_rounds: int = 0
     #: Round index this run resumed from, if it was resumed.
     resumed_from_round: Optional[int] = None
-    #: Scale engine (``config.workers >= 1``) census; all zero under
-    #: the legacy serial engine.
+    #: Sharded-engine census: mining processes used, and the largest
+    #: per-round shard count.
     workers: int = 0
-    shards: int = 0                   #: largest per-round shard count
+    shards: int = 0
     #: shards torn down before completing (governor stop mid-round)
     shards_lost: int = 0
     cache_hits: int = 0
@@ -187,8 +167,7 @@ class PAResult:
     shards_retried: int = 0
     #: shards dropped after retries and the serial fallback all failed
     shards_quarantined: int = 0
-    #: end-of-run fragment-cache census (hits/misses/stores/...);
-    #: empty under the legacy serial engine
+    #: end-of-run fragment-cache census (hits/misses/stores/...)
     cache_census: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -203,268 +182,6 @@ class PAResult:
     @property
     def crossjump_extractions(self) -> int:
         return sum(1 for r in self.records if r.method == "crossjump")
-
-
-def _make_miner(config: PAConfig):
-    if config.miner == "edgar":
-        return Edgar(
-            min_support=config.min_support,
-            min_nodes=config.min_nodes,
-            max_nodes=config.max_nodes,
-            max_embeddings=config.max_embeddings,
-            pa_pruning=config.pa_pruning,
-            mis_exact_limit=config.mis_exact_limit,
-        )
-    if config.miner == "dgspan":
-        return DgSpan(
-            min_support=config.min_support,
-            min_nodes=config.min_nodes,
-            max_nodes=config.max_nodes,
-            max_embeddings=config.max_embeddings,
-        )
-    raise ValueError(f"unknown miner: {config.miner!r}")
-
-
-def collect_candidates(module: Module, config: PAConfig,
-                       miner=None,
-                       warm: Optional[List[Candidate]] = None,
-                       deadline: Optional[float] = None,
-                       blocklist: Optional[Set[str]] = None
-                       ) -> List[Candidate]:
-    """Mine one round; return extractable candidates, best first.
-
-    Fragments are scored as the miner reports them (streaming); the
-    current best benefit is fed back as a lattice floor, pruning every
-    subtree whose optimistic (size, occurrences) bound cannot beat it —
-    both quantities are antimonotone, so the prune never loses the
-    optimum of the "best extractable candidate" query.  Candidates
-    scored along the way (before the floor overtook them) are kept for
-    batch application.
-    """
-    dfgs = build_dfgs(module, min_nodes=0, mined_kinds=config.mined_kinds)
-    if not dfgs:
-        return []
-    miner = miner or _make_miner(config)
-    # lr can be live across blocks (leaf returns, shared cross-jump
-    # tails); a bl may only be inserted where lr is dead-out.
-    lr_live = lr_live_out_blocks(module)
-    # frameless outlined procedures address the caller's frame through
-    # sp; fragments calling one must not gain a sp-shifting bracket.
-    fragile = sp_fragile_functions(module)
-    best: List[Optional[Candidate]] = [None]
-    collected: List[Candidate] = []
-    for candidate in warm or ():
-        # Still-valid candidates from the previous round warm-start the
-        # benefit floor, so the lattice prunes aggressively from the
-        # first seed onward.
-        if blocklist and candidate.fingerprint() in blocklist:
-            continue
-        collected.append(candidate)
-        if best[0] is None or candidate.sort_key() < best[0].sort_key():
-            best[0] = candidate
-
-    def floor() -> int:
-        return best[0].benefit if best[0] is not None else 0
-
-    def prune_subtree(size_cap: int, occurrence_bound: int) -> bool:
-        return best_possible_benefit(size_cap, occurrence_bound) <= floor()
-
-    ledger_on = _LEDGER.enabled
-    skips = {
-        "considered": 0, "floor": 0, "illegal": 0, "lr_infeasible": 0,
-        "order_inconsistent": 0, "unprofitable": 0, "scored": 0,
-    }
-
-    def consider(frag) -> None:
-        _TELEMETRY.count("pa.candidates.considered")
-        if ledger_on:
-            skips["considered"] += 1
-        per_graph = {}
-        for emb in frag.embeddings:
-            per_graph[emb.graph] = per_graph.get(emb.graph, 0) + 1
-        occ_bound = sum(
-            min(count, dfgs[gid].num_nodes // max(1, frag.num_nodes))
-            for gid, count in per_graph.items()
-        )
-        bound = best_possible_benefit(frag.num_nodes, occ_bound)
-        if bound <= floor():
-            _TELEMETRY.count("pa.candidates.skipped_floor")
-            if ledger_on:
-                skips["floor"] += 1
-            return
-        if len(frag.embeddings) > 1000:
-            # per-embedding legality below costs a reachability sweep
-            # each; a deterministic prefix keeps scoring bounded (a
-            # sound benefit undercount)
-            frag.embeddings = frag.embeddings[:1000]
-        method, legal = legal_embeddings(dfgs, frag, fragile)
-        if method is None or len(legal) < 2:
-            _TELEMETRY.count("pa.candidates.skipped_illegal")
-            if ledger_on:
-                skips["illegal"] += 1
-            return
-        legal_count = len(legal)
-        if method is ExtractionMethod.CALL:
-            legal = [
-                e for e in legal
-                if dfgs[e.graph].origin not in lr_live
-                and call_site_feasible(dfgs[e.graph], e.nodes)
-            ]
-            if len(legal) < 2:
-                _TELEMETRY.count("pa.candidates.skipped_lr_infeasible")
-                if ledger_on:
-                    skips["lr_infeasible"] += 1
-                    _LEDGER.emit(
-                        "candidate",
-                        verdict="lr_infeasible",
-                        labels=list(frag.node_labels),
-                        size=frag.num_nodes,
-                        method=method.value,
-                        embeddings=len(frag.embeddings),
-                        legal=legal_count,
-                        lr_feasible=len(legal),
-                    )
-                return
-        mis_stats = {} if ledger_on else None
-        disjoint = non_overlapping_embeddings(
-            legal, exact_limit=config.mis_exact_limit, stats=mis_stats
-        )
-        kept, union = order_consistent_subset(dfgs, disjoint)
-        if len(kept) < 2:
-            _TELEMETRY.count("pa.candidates.skipped_order")
-            if ledger_on:
-                skips["order_inconsistent"] += 1
-                _LEDGER.emit(
-                    "candidate",
-                    verdict="order_inconsistent",
-                    labels=list(frag.node_labels),
-                    size=frag.num_nodes,
-                    method=method.value,
-                    embeddings=len(frag.embeddings),
-                    legal=legal_count,
-                    mis_size=len(disjoint),
-                    collision_nodes=mis_stats.get("vertices"),
-                    collision_edges=mis_stats.get("edges"),
-                    mis_mode=mis_stats.get("mode"),
-                    order_kept=len(kept),
-                )
-            return
-        witness = kept[0]
-        insns = [dfgs[witness.graph].insns[n] for n in witness.nodes]
-        origins = tuple(sorted({dfgs[e.graph].origin for e in kept}))
-        candidate = score(frag, method, insns, kept, union, origins)
-        if candidate is None:
-            _TELEMETRY.count("pa.candidates.skipped_unprofitable")
-            if ledger_on:
-                skips["unprofitable"] += 1
-                if method is ExtractionMethod.CALL:
-                    benefit = call_benefit(
-                        frag.num_nodes, len(kept), call_overhead(insns)
-                    )
-                else:
-                    benefit = crossjump_benefit(frag.num_nodes, len(kept))
-                _LEDGER.emit(
-                    "candidate",
-                    verdict="unprofitable",
-                    labels=list(frag.node_labels),
-                    size=frag.num_nodes,
-                    method=method.value,
-                    embeddings=len(frag.embeddings),
-                    legal=legal_count,
-                    mis_size=len(disjoint),
-                    collision_nodes=mis_stats.get("vertices"),
-                    collision_edges=mis_stats.get("edges"),
-                    mis_mode=mis_stats.get("mode"),
-                    order_kept=len(kept),
-                    benefit=benefit,
-                )
-            return
-        if blocklist and candidate.fingerprint() in blocklist:
-            # Blocklisted by a verify-failure recovery step: the
-            # fingerprint is canonical (method + instruction text +
-            # origins), so the re-mined round skips exactly the
-            # candidate whose extraction failed validation.
-            _TELEMETRY.count("pa.candidates.skipped_blocklist")
-            return
-        _TELEMETRY.count("pa.candidates.scored")
-        if ledger_on:
-            skips["scored"] += 1
-            candidate.provenance = {
-                "embeddings": len(frag.embeddings),
-                "legal": legal_count,
-                "mis_size": len(disjoint),
-                "collision_nodes": mis_stats.get("vertices"),
-                "collision_edges": mis_stats.get("edges"),
-                "mis_mode": mis_stats.get("mode"),
-                "order_kept": len(kept),
-                "collision_adjacency": mis_stats.get("adjacency"),
-                "chosen_indices": mis_stats.get("chosen_indices"),
-                "fragment_labels": list(frag.node_labels),
-                "fragment_edges": sorted(tuple(e) for e in frag.edges),
-            }
-            _LEDGER.emit(
-                "candidate",
-                verdict="scored",
-                labels=list(frag.node_labels),
-                size=frag.num_nodes,
-                method=method.value,
-                embeddings=len(frag.embeddings),
-                legal=legal_count,
-                mis_size=len(disjoint),
-                collision_nodes=mis_stats.get("vertices"),
-                collision_edges=mis_stats.get("edges"),
-                mis_mode=mis_stats.get("mode"),
-                order_kept=len(kept),
-                benefit=candidate.benefit,
-            )
-        collected.append(candidate)
-        if best[0] is None or candidate.sort_key() < best[0].sort_key():
-            best[0] = candidate
-
-    miner.prune_subtree = prune_subtree
-    miner.on_fragment = consider
-    miner.deadline = deadline
-    try:
-        if miner.max_nodes > 4:
-            # Quick shallow pre-pass: small fragments with many
-            # occurrences are found in milliseconds and set a benefit
-            # floor that prunes most of the deep lattice before the
-            # full-depth pass even starts.
-            saved_max = miner.max_nodes
-            miner.max_nodes = 3
-            try:
-                with _TELEMETRY.span("pa.mine.shallow"), \
-                        _LEDGER.context(mine_pass="shallow"):
-                    miner.mine(dfgs)
-            finally:
-                miner.max_nodes = saved_max
-        with _TELEMETRY.span("pa.mine.full"), \
-                _LEDGER.context(mine_pass="full"):
-            miner.mine(dfgs)
-        if config.flow_pass and FLOW_KINDS != config.mined_kinds:
-            # Second pass on the data-flow projection; block order and
-            # node numbering are identical, so embeddings transfer
-            # directly and legality still checks the full dep_edges.
-            flow_dfgs = build_dfgs(module, min_nodes=0,
-                                   mined_kinds=FLOW_KINDS)
-            with _TELEMETRY.span("pa.mine.flow"), \
-                    _LEDGER.context(mine_pass="flow"):
-                miner.mine(flow_dfgs)
-    finally:
-        miner.prune_subtree = None
-        miner.on_fragment = None
-        miner.deadline = None
-    if ledger_on:
-        _LEDGER.emit("mine.skips", **skips)
-    collected.sort(key=lambda c: c.sort_key())
-    return collected
-
-
-def best_candidate(module: Module, config: PAConfig,
-                   miner=None) -> Optional[Candidate]:
-    """Mine one round and return the highest-benefit extractable candidate."""
-    candidates = collect_candidates(module, config, miner=miner)
-    return candidates[0] if candidates else None
 
 
 def apply_candidate(module: Module, config: PAConfig,
@@ -491,7 +208,8 @@ def apply_batch(module: Module, config: PAConfig,
     A candidate conflicts when any of its occurrence blocks was already
     rewritten this round (or, for cross-jumps — which renumber blocks —
     when its function was touched at all).  Skipped candidates are
-    simply rediscovered (or carried over) by the next mining round.
+    simply rediscovered by the next mining round (an untouched shard
+    is a fragment-cache hit).
 
     Returns ``(records, touched_blocks, touched_functions)``; when the
     caller passes an *applied* list, the candidates actually extracted
@@ -695,18 +413,17 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         instructions_before=module.num_instructions,
         instructions_after=module.num_instructions,
     )
-    carryover: List[Candidate] = []
     blocklist: Set[str] = set()
-    scale = None
-    if config.workers:
-        # one cache + delta planner per run: the cache carries shard
-        # results across rounds (and across runs when persistent), the
-        # planner only observes — see repro.scale.pool for invariants
-        from repro.scale.cache import FragmentCache
-        from repro.scale.delta import DeltaPlanner
+    # one cache + delta planner per run: the cache carries shard
+    # results across rounds (and across runs when persistent), the
+    # planner only observes — see repro.scale.pool for invariants.
+    # (Imported here: the repro.scale package imports repro.pa.)
+    from repro.scale.cache import FragmentCache
+    from repro.scale.delta import DeltaPlanner
 
-        scale = (FragmentCache(config.fragment_cache), DeltaPlanner())
-        result.workers = max(1, config.workers)
+    cache = FragmentCache(config.fragment_cache)
+    planner = DeltaPlanner()
+    result.workers = max(1, config.workers)
     start_round = 0
     if resume is not None:
         start_round = resume.round + 1
@@ -735,10 +452,6 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
             for r in resume.records
         ]
         blocklist = set(resume.blocklist)
-        if scale is None:
-            carryover = _ckpt.candidates_from_dicts(
-                module, config.mined_kinds, resume.carryover
-            )
     for round_index in range(start_round, config.max_rounds):
         if governor.should_stop():
             governor.note(
@@ -749,7 +462,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             outcome = _run_round(
                 module, config, governor, result, round_index,
-                carryover, blocklist, state, scale,
+                blocklist, state, cache, planner,
             )
         except KeyboardInterrupt:
             # Anytime semantics: the interrupted round is rolled back
@@ -769,49 +482,30 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
             raise
         if outcome is None:
             break
-        records, candidates, touched_blocks, touched_functions = outcome
-        result.records.extend(records)
+        result.records.extend(outcome)
         result.rounds = round_index + 1
-        # Candidates whose blocks survived this round untouched remain
-        # valid; they warm-start the next round's benefit floor.  A
-        # cross-jump splits a block in two, renumbering every later
-        # block of the module enumeration, so any cross-jump round
-        # invalidates the carried indices wholesale.  (The scale
-        # engine never carries over — untouched shards are cache hits
-        # instead, which survives cross-jump renumbering too because
-        # shard identity is content, not position.)
-        if scale is not None or touched_functions:
-            carryover = []
-        else:
-            carryover = [
-                c for c in candidates
-                if not any(o in touched_blocks for o in c.origins)
-            ]
         if config.checkpoint_path:
             _write_run_checkpoint(
                 config.checkpoint_path, module, config, governor,
-                result, round_index, carryover, blocklist,
+                result, round_index, blocklist,
             )
     result.instructions_after = module.num_instructions
     result.elapsed_seconds = time.perf_counter() - started
-    if scale is not None:
-        census = scale[0].stats.as_dict()
-        result.cache_census = census
-        if _TELEMETRY.enabled:
-            for key in sorted(census):
-                _TELEMETRY.count(f"scale.cache.census.{key}",
-                                 census[key])
+    census = cache.stats.as_dict()
+    result.cache_census = census
+    if _TELEMETRY.enabled:
+        for key in sorted(census):
+            _TELEMETRY.count(f"scale.cache.census.{key}", census[key])
     return result
 
 
 def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
-               result: PAResult, round_index: int,
-               carryover: List[Candidate], blocklist: Set[str],
-               state: _ckpt.ModuleState, scale=None):
+               result: PAResult, round_index: int, blocklist: Set[str],
+               state: _ckpt.ModuleState, cache, planner):
     """One mining + apply round, with verify-failure recovery.
 
-    Returns ``None`` at fixpoint, else ``(records, candidates,
-    touched_blocks, touched_functions)``.  On a translation-validation
+    Returns ``None`` at fixpoint, else the round's extraction records.
+    On a translation-validation
     failure the round is rolled back atomically, the offending
     candidates blocklisted by canonical fingerprint, and the round
     re-mined — up to ``config.verify_max_retries`` times, after which
@@ -823,7 +517,7 @@ def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             return _round_once(
                 module, config, governor, result, round_index,
-                carryover, blocklist, applied, scale,
+                blocklist, applied, cache, planner,
             )
         except TranslationValidationError as error:
             _ckpt.restore_state(module, state)
@@ -869,82 +563,44 @@ def _verify_offenders(error: TranslationValidationError,
 
 
 def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
-                result: PAResult, round_index: int,
-                carryover: List[Candidate], blocklist: Set[str],
-                applied: List[Candidate], scale=None):
+                result: PAResult, round_index: int, blocklist: Set[str],
+                applied: List[Candidate], cache, planner):
+    from repro.scale.pool import run_sharded_round
+
     with _TELEMETRY.span("pa.round", round=round_index), \
             _LEDGER.context(round=round_index):
         if _LEDGER.enabled:
-            _LEDGER.emit(
-                "round.begin", instructions=module.num_instructions,
-                carryover=len(carryover),
-            )
+            _LEDGER.emit("round.begin",
+                         instructions=module.num_instructions)
         _progress.publish(
             "round.start", round=round_index,
             instructions=module.num_instructions,
         )
         mine_started = time.perf_counter()
-        if scale is not None:
-            from repro.scale.pool import run_sharded_round
-
-            cache, planner = scale
-            with _TELEMETRY.span("pa.collect", round=round_index):
-                candidates, scale_stats = run_sharded_round(
-                    module, config, governor, cache, planner
-                )
-            if blocklist:
-                # Verify-failure recovery: shard results are mined
-                # (and cached) blocklist-free — a blocklisted
-                # candidate must not shape shard-local floors or cache
-                # keys — so the filter happens here, after revival
-                # re-derived the origins a fingerprint needs.
-                candidates = [
-                    c for c in candidates
-                    if c.fingerprint() not in blocklist
-                ]
-            round_lattice_nodes = scale_stats.lattice_nodes_mined
-            result.lattice_nodes += scale_stats.lattice_nodes_mined
-            result.lattice_nodes_reused += \
-                scale_stats.lattice_nodes_reused
-            result.shards = max(result.shards, scale_stats.shards)
-            result.shards_lost += scale_stats.shards_lost
-            result.stragglers += scale_stats.stragglers
-            result.cache_hits += scale_stats.cache_hits
-            result.cache_misses += scale_stats.cache_misses
-            result.shards_retried += scale_stats.shards_retried
-            result.shards_quarantined += scale_stats.shards_quarantined
-            if scale_stats.shards_lost:
-                # A torn-down pool dropped shards: whatever this round
-                # selects is best-so-far, never silently complete.
-                governor.note(
-                    "interrupted" if governor.interrupted
-                    else "time_budget"
-                )
-            if scale_stats.deadline_hits:
-                result.deadline_hits += scale_stats.deadline_hits
-                governor.count("mine.deadline_hits",
-                               scale_stats.deadline_hits)
-        else:
-            miner = _make_miner(config)
-            with _TELEMETRY.span("pa.collect", round=round_index):
-                candidates = collect_candidates(
-                    module, config, miner=miner,
-                    warm=carryover, deadline=governor.deadline,
-                    blocklist=blocklist,
-                )
-            round_lattice_nodes = miner.visited_nodes
-            result.lattice_nodes += miner.visited_nodes
-            if miner.deadline_hit:
-                result.deadline_hits += 1
-                governor.count("mine.deadline_hits")
-            if _LEDGER.enabled:
-                _LEDGER.emit(
-                    "prune",
-                    never_convex=getattr(miner, "pruned_never_convex", 0),
-                    cyclic=getattr(miner, "pruned_cyclic", 0),
-                )
+        with _TELEMETRY.span("pa.collect", round=round_index):
+            candidates, scale_stats = run_sharded_round(
+                module, config, governor, cache, planner,
+                frozenset(blocklist),
+            )
+        result.lattice_nodes += scale_stats.lattice_nodes_mined
+        result.lattice_nodes_reused += scale_stats.lattice_nodes_reused
+        result.shards = max(result.shards, scale_stats.shards)
+        result.shards_lost += scale_stats.shards_lost
+        result.stragglers += scale_stats.stragglers
+        result.cache_hits += scale_stats.cache_hits
+        result.cache_misses += scale_stats.cache_misses
+        result.shards_retried += scale_stats.shards_retried
+        result.shards_quarantined += scale_stats.shards_quarantined
+        if scale_stats.shards_lost:
+            # A torn-down pool dropped shards: whatever this round
+            # selects is best-so-far, never silently complete.
+            governor.note(
+                "interrupted" if governor.interrupted else "time_budget"
+            )
+        if scale_stats.deadline_hits:
+            result.deadline_hits += scale_stats.deadline_hits
+            governor.count("mine.deadline_hits", scale_stats.deadline_hits)
         mine_seconds = time.perf_counter() - mine_started
-        _TELEMETRY.count("pa.carryover.candidates", len(carryover))
         if not candidates:
             if _LEDGER.enabled:
                 _LEDGER.emit(
@@ -966,7 +622,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
             pre_lr_live = lr_live_out_blocks(module)
         fault("extract.apply")
         with _TELEMETRY.span("pa.apply", round=round_index):
-            records, touched_blocks, touched_functions = apply_batch(
+            records, __, ___ = apply_batch(
                 module, config, candidates, applied=applied
             )
         if config.verify and records:
@@ -1005,10 +661,9 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 "pa.round",
                 round=round_index,
                 mine_seconds=mine_seconds,
-                lattice_nodes=round_lattice_nodes,
+                lattice_nodes=scale_stats.lattice_nodes_mined,
                 candidates=len(candidates),
                 applied=len(records),
-                carryover=len(carryover),
             )
             for record in records:
                 _TELEMETRY.observe(
@@ -1023,7 +678,7 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                     benefit=record.benefit,
                     new_symbol=record.new_symbol,
                 )
-    return records, candidates, touched_blocks, touched_functions
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -1061,7 +716,6 @@ def _record_to_dict(record: ExtractionRecord) -> Dict[str, Any]:
 def _write_run_checkpoint(path: str, module: Module, config: PAConfig,
                           governor: RunGovernor, result: PAResult,
                           round_index: int,
-                          carryover: List[Candidate],
                           blocklist: Set[str]) -> None:
     """Serialize the resumable state after a committed round."""
     checkpoint = _ckpt.Checkpoint(
@@ -1070,7 +724,6 @@ def _write_run_checkpoint(path: str, module: Module, config: PAConfig,
         entry=module.entry,
         fresh=module._fresh,
         config=config_to_dict(config),
-        carryover=[_ckpt.candidate_to_dict(c) for c in carryover],
         blocklist=sorted(blocklist),
         records=[_record_to_dict(r) for r in result.records],
         pa_exempt=sorted(

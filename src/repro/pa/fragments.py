@@ -65,8 +65,8 @@ class Candidate:
     #: whether the candidate survives other extractions untouched
     origins: Tuple[Tuple[str, int], ...] = ()
     #: Decision provenance (embedding funnel counts, collision graph,
-    #: MIS census) attached by the driver only while the decision
-    #: ledger is enabled; never part of candidate identity.
+    #: MIS census) attached by the shard funnel only while the
+    #: decision ledger is enabled; never part of candidate identity.
     provenance: Optional[Dict[str, Any]] = field(
         default=None, compare=False, repr=False
     )

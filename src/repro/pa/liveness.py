@@ -22,25 +22,14 @@ to block unsound rewrites, the other to prove the applied ones sound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Set, Tuple
 
 from repro.isa.registers import LR
 
 from repro.binary.program import Module
-from repro.verify.cfg import build_module_cfg
 from repro.verify.passes import live_out_blocks
 
 BlockKey = Tuple[str, int]
-
-
-def _successors(module: Module) -> Dict[BlockKey, List[BlockKey]]:
-    """Module-wide successor map; labels resolve across functions.
-
-    Compatibility shim over :func:`repro.verify.cfg.build_module_cfg`,
-    kept because the successor map is a useful standalone artifact in
-    tests and notebooks.
-    """
-    return build_module_cfg(module).succ
 
 
 def lr_live_out_blocks(module: Module) -> Set[BlockKey]:

@@ -51,15 +51,21 @@ def explain_round(records: Sequence[Dict[str, Any]],
     )
 
     if passes:
-        lines.append("  mining:")
+        # one record per pass of each mined shard: sum them per pass
+        by_label: Dict[str, List[Dict[str, Any]]] = {}
         for rec in passes:
-            label = rec.get("mine_pass", "?")
+            by_label.setdefault(rec.get("mine_pass", "?"), []).append(rec)
+        lines.append("  mining:")
+        for label, recs in by_label.items():
+            total = {key: sum(r.get(key, 0) for r in recs)
+                     for key in ("graphs", "seeds", "lattice_nodes")}
             lines.append(
-                f"    {label:<8s} {rec.get('engine', '?'):<7s} "
-                f"{rec.get('graphs', '?')} graphs, "
-                f"{rec.get('seeds', '?')} seeds, "
-                f"{rec.get('lattice_nodes', '?')} lattice nodes"
-                + (", deadline hit" if rec.get("deadline_hit") else "")
+                f"    {label:<8s} {recs[0].get('engine', '?'):<7s} "
+                f"{total['graphs']} graphs, {total['seeds']} seeds, "
+                f"{total['lattice_nodes']} lattice nodes"
+                + (f" over {len(recs)} shards" if len(recs) > 1 else "")
+                + (", deadline hit"
+                   if any(r.get("deadline_hit") for r in recs) else "")
             )
     for rec in prunes:
         lines.append(

@@ -29,25 +29,31 @@ run.begin  driver — schema tag, engine, config snapshot, instruction
 round.begin / round.end
            driver — per-round instruction counts, candidates applied,
            instructions saved
-mine.pass  miner — one record per mining pass (shallow / full / flow):
-           graphs, seeds, lattice nodes expanded, truncated branches,
-           deadline hit
-mine.skips driver — per-round aggregate of candidate-rejection counts
+mine.pass  miner, per mined shard* — one record per mining pass
+           (shallow / full / flow): graphs, seeds, lattice nodes
+           expanded, truncated branches, deadline hit
+mine.skips shard scheduler (``scale.pool``) — per-round aggregate of
+           the merged shard tallies: candidate-rejection counts
            (benefit floor, illegality, lr-infeasibility, order
            inconsistency, unprofitability) plus the scored total
-prune      driver — per-round PA-specific embedding pruning: the
-           never-convex count and the Fig. 9 cyclic-dependency count
-legality   legality checker — one verdict per classified fragment:
-           mechanism (call / crossjump / null) and surviving
-           embeddings (capped)
-mis        MIS solver — one record per overlap resolution: collision
-           graph size, component census, exact-vs-greedy fallback,
-           chosen set size (capped)
-candidate  driver — one record per candidate that reached the
-           cost/benefit race: fragment labels, embedding counts at
-           each funnel stage, MIS size and mode, benefit, verdict
-           (scored / unprofitable / order_inconsistent /
-           lr_infeasible)
+prune      shard scheduler — per-round aggregate of the merged shard
+           tallies: PA-specific embedding pruning, the never-convex
+           count and the Fig. 9 cyclic-dependency count
+legality   legality checker, per mined shard* — one verdict per
+           classified fragment: mechanism (call / crossjump / null)
+           and surviving embeddings (capped)
+mis        MIS solver, per mined shard* — one record per overlap
+           resolution: collision graph size, component census,
+           exact-vs-greedy fallback, chosen set size (capped)
+candidate  shard funnel (``scale.shard``), per mined shard* — one
+           record per candidate that reached the cost/benefit race:
+           fragment labels, embedding counts at each funnel stage,
+           MIS size and mode, benefit, verdict (scored / unprofitable
+           / order_inconsistent / lr_infeasible)
+scale.shard / scale.round / scale.retry / scale.quarantine /
+scale.salvage
+           shard scheduler — per-shard and per-round census of
+           sharding, caching, retries and teardown
 extraction driver — one record per applied extraction: mechanism,
            size, occurrences, benefit, bytes saved, new symbol, body
            instructions, origins, and inline DOT renderings of the
@@ -81,12 +87,22 @@ run.abort  CLI boundary — a typed internal failure ended the run:
 run.end    driver — rounds, saved instructions, elapsed seconds, and
            the per-type dropped-record census
 ========== ==========================================================
+
+The per-fragment records (marked * above) are captured while a shard
+is mined — in the parent or in a worker process — and replayed by the
+parent in shard order (:meth:`Ledger.capture` / :meth:`Ledger.replay`),
+so they read the same for every worker count.  A shard served from the
+fragment cache contributes its tallies to ``mine.skips``/``prune`` but
+no per-fragment records, and its candidates carry no provenance (their
+``extraction`` records then lack the funnel counts and collision DOT).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Any, Dict, List
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List
 
 from repro.resilience.atomicio import atomic_write_text
 from repro.resilience.faultinject import fault
@@ -147,6 +163,15 @@ class _LedgerContext:
         return False
 
 
+@dataclass
+class Captured:
+    """The records and drop census of one :meth:`Ledger.capture` scope
+    (plain data: it pickles across a process boundary)."""
+
+    records: List[Dict[str, Any]] = field(default_factory=list)
+    dropped: Dict[str, int] = field(default_factory=dict)
+
+
 class Ledger:
     """An append-only stream of typed decision records.
 
@@ -205,6 +230,45 @@ class Ledger:
         record.update(self._context)
         record.update(fields)
         self.records.append(record)
+
+    # ------------------------------------------------------------------
+    # isolated capture (shard mining)
+    # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def capture(self, enabled: bool = True) -> Iterator["Captured"]:
+        """Record into a fresh, isolated stream for the duration.
+
+        Shard mining runs inside this scope, in the parent or in a
+        worker process alike: with *enabled* the scope's records and
+        drop census land in the yielded :class:`Captured` (caps apply
+        per scope) for :meth:`replay`; without it the scope records
+        nothing.  Either way the outer stream is left untouched.
+        """
+        saved = (self.enabled, self.records, self.dropped,
+                 self._counts, self._context)
+        captured = Captured()
+        self.enabled = enabled
+        self.records = captured.records
+        self.dropped = captured.dropped
+        self._counts = {}
+        self._context = {}
+        try:
+            yield captured
+        finally:
+            (self.enabled, self.records, self.dropped,
+             self._counts, self._context) = saved
+
+    def replay(self, captured: "Captured") -> None:
+        """Re-emit a :meth:`capture` scope's records under the current
+        context, and fold its drop census into this one — so kept plus
+        dropped counts do not depend on where the scope ran."""
+        if not self.enabled:
+            return
+        for record in captured.records:
+            fields = dict(record)
+            self.emit(fields.pop("type"), **fields)
+        for rtype, count in captured.dropped.items():
+            self.dropped[rtype] = self.dropped.get(rtype, 0) + count
 
     # ------------------------------------------------------------------
     # access

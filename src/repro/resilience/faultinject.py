@@ -12,7 +12,10 @@ or the ``REPRO_FAULT`` environment variable, comma-separated):
 mode      effect when the armed hit is reached
 ========= ===========================================================
 raise     raise :class:`~repro.resilience.errors.FaultInjected`
-          (the typed crash; CLI exit 4)
+          (the typed crash; CLI exit 4).  Inside shard mining
+          (``mine.*``, ``mis.solve``) the crash fails that shard's
+          delivery instead: the shard is mined again, and only a
+          shard that keeps failing is quarantined
 interrupt raise ``KeyboardInterrupt`` (the mid-round Ctrl-C; the
           driver must roll back or complete the round atomically)
 deadline  force-expire the active governor's budget (simulated

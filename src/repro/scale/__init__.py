@@ -1,11 +1,11 @@
 """Sharded, parallel, incremental, cached mining (``src/repro/scale/``).
 
-The serial engines treat every block DFG as one pool: each round mines
-the whole database from scratch, although an extraction only rewrites a
-handful of blocks and identical blocks recur both across rounds and
-across runs.  This subsystem makes mining *sharded*, *parallel*,
-*incremental* and *cached* while keeping the sharded engine's output
-bit-identical for any worker count and any cache state:
+Mining the whole block-DFG database as one pool would redo every round
+from scratch, although an extraction only rewrites a handful of blocks
+and identical blocks recur both across rounds and across runs.  This
+subsystem is the abstraction loop's one mining engine; it makes mining
+*sharded*, *parallel*, *incremental* and *cached* while keeping the
+output bit-identical for any worker count and any cache state:
 
 :mod:`repro.scale.cluster`
     Pre-clustering: blocks partition into shards (connected components

@@ -1,9 +1,9 @@
 """The multiprocess worklist scheduler for sharded mining.
 
-One call to :func:`run_sharded_round` replaces the serial driver's
-``collect_candidates`` for a round: cluster the DFG database, consult
-the fragment cache per shard, mine the missing shards (in-process for
-``workers <= 1``, in a worker pool otherwise), and merge.
+One call to :func:`run_sharded_round` mines one round of the
+abstraction loop: cluster the DFG database, consult the fragment cache
+per shard, mine the missing shards (in-process for ``workers <= 1``,
+in a worker pool otherwise), and merge.
 
 Determinism invariants (the bit-identity gate relies on these):
 
@@ -25,8 +25,12 @@ Determinism invariants (the bit-identity gate relies on these):
   temperature (only durations, pids and timestamps differ, which is
   what a trace is for).  When telemetry is disabled the same capture
   scope runs suppressed, preserving the bit-identity guarantee.  The
-  ledger stays parent-only either way: the parent replays each shard's
-  funnel tallies and emits per-shard ledger records itself.  Progress
+  decision ledger follows the same pattern: each mined shard captures
+  its per-fragment records and candidate provenance into an isolated
+  scope (suppressed when the ledger is off), the parent replays them
+  in shard order, and it emits the per-round ``mine.skips``/``prune``
+  aggregates from the merged tallies — which cached shards carry too,
+  so those aggregates are also cache-temperature-independent.  Progress
   events (:mod:`repro.telemetry.progress`) flow from workers over a
   queue handed through the pool initializer and are drained in the
   parent's poll loop, which doubles as the straggler watchdog.
@@ -47,8 +51,8 @@ Governor-aware teardown: the parent polls the active run governor
 between completions; on SIGINT/SIGTERM/deadline it tears the fleet
 down (children ignore SIGINT — delivery is the parent's decision),
 salvages every shard that already completed as the round's
-best-so-far, and reports the lost shards — mirroring the serial
-engine's anytime semantics.  Worker children run with fault injection
+best-so-far, and reports the lost shards — the driver's anytime
+semantics.  Worker children run with fault injection
 disarmed, so chaos specs fire deterministically in the parent (see
 ``scale.pool`` and the ``scale.worker.*``/``scale.shard.poison``
 dispatch directives).
@@ -57,7 +61,7 @@ dispatch directives).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.dfg.builder import build_dfgs
 from repro.pa.fragments import Candidate
@@ -75,6 +79,8 @@ from repro.scale.cache import FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs
 from repro.scale.delta import DeltaPlanner
 from repro.scale.shard import (
+    FUNNEL_KEYS,
+    PRUNE_KEYS,
     ShardPayload,
     ShardResult,
     build_payload,
@@ -87,7 +93,7 @@ from repro.scale.supervise import (
     supervise_mine,
 )
 
-#: shard tally key -> the serial funnel's telemetry counter name
+#: shard tally key -> its telemetry counter name
 _TALLY_COUNTERS = {
     "considered": "pa.candidates.considered",
     "floor": "pa.candidates.skipped_floor",
@@ -95,6 +101,7 @@ _TALLY_COUNTERS = {
     "lr_infeasible": "pa.candidates.skipped_lr_infeasible",
     "order_inconsistent": "pa.candidates.skipped_order",
     "unprofitable": "pa.candidates.skipped_unprofitable",
+    "blocklisted": "pa.candidates.skipped_blocklist",
     "scored": "pa.candidates.scored",
 }
 
@@ -137,18 +144,22 @@ def run_sharded_round(
     governor: RunGovernor,
     cache: FragmentCache,
     planner: Optional[DeltaPlanner] = None,
+    blocklist: FrozenSet[str] = frozenset(),
 ) -> Tuple[List[Candidate], ScaleStats]:
     """Mine one round sharded/parallel/cached; return merged candidates.
 
-    The returned list is sorted best-first by the same key as the
-    serial funnel and is a pure function of (module content, config) —
+    The returned list is sorted best-first by the candidate sort key
+    and is a pure function of (module content, config) —
     independent of ``config.workers``, cache temperature, scheduling
-    and teardown history of previous runs.
+    and teardown history of previous runs.  *blocklist* holds the
+    fingerprints of candidates whose extraction failed translation
+    validation; the shard funnels skip them (see ``mine_shard``).
     """
     workers = max(1, config.workers)
     stats = ScaleStats(workers=workers)
     bus = _progress.active()
     capture_telemetry = _TELEMETRY.enabled
+    capture_ledger = _LEDGER.enabled
     with _TELEMETRY.span("scale.round", workers=workers):
         dfgs = build_dfgs(module, min_nodes=0,
                           mined_kinds=config.mined_kinds)
@@ -159,7 +170,7 @@ def run_sharded_round(
         with _TELEMETRY.span("scale.cluster"):
             shards = cluster_dfgs(dfgs)
         payloads = [
-            build_payload(shard, dfgs, lr_live, fragile, config)
+            build_payload(shard, dfgs, lr_live, fragile, config, blocklist)
             for shard in shards
         ]
         digests = [payload.digest() for payload in payloads]
@@ -201,13 +212,15 @@ def run_sharded_round(
                 if workers <= 1:
                     sup = mine_serial(to_mine, governor, bus,
                                       capture_telemetry,
-                                      retries=retry_budget)
+                                      retries=retry_budget,
+                                      capture_ledger=capture_ledger)
                 else:
                     sup = supervise_mine(
                         to_mine, workers, governor, bus,
                         capture_telemetry,
                         retries=retry_budget,
                         timeout=getattr(config, "shard_timeout", None),
+                        capture_ledger=capture_ledger,
                     )
                 results.update(sup.completed)
                 lost = sup.lost
@@ -263,8 +276,10 @@ def run_sharded_round(
                 tallies[key] = tallies.get(key, 0) + value
             merged.extend(
                 revive_candidates(dfgs, shard.graph_ids,
-                                  result.candidates)
+                                  result.candidates, result.provenance)
             )
+            if result.ledger is not None:
+                _LEDGER.replay(result.ledger)
         merged.sort(key=lambda c: c.sort_key())
         stats.tallies = tallies
         if _TELEMETRY.enabled:
@@ -290,6 +305,10 @@ def run_sharded_round(
         dropped = ({q["shard"] for q in sup.dropped}
                    if sup is not None else set())
         if _LEDGER.enabled:
+            _LEDGER.emit("mine.skips", **{key: tallies.get(key, 0)
+                                          for key in FUNNEL_KEYS})
+            _LEDGER.emit("prune", **{key: tallies.get(key, 0)
+                                     for key in PRUNE_KEYS})
             for shard, payload, digest in zip(shards, payloads, digests):
                 result = results.get(shard.index)
                 _LEDGER.emit(

@@ -12,12 +12,11 @@ outside the shard, so
   with identical content mine to identical results no matter where (or
   in which round, or in which run) their blocks live.
 
-:func:`mine_shard` runs the same consider-funnel as the serial driver
-(floor prune -> legality -> MIS -> order consistency -> score) with a
-shard-local benefit floor, and returns a :class:`ShardResult` whose
-candidates use *local* graph ids; :func:`revive_candidates` maps them
-back onto the round's global DFG database, re-deriving instruction
-objects and origins, exactly like checkpoint carryover revival.
+:func:`mine_shard` runs the candidate funnel (floor prune -> legality
+-> MIS -> order consistency -> score) with a shard-local benefit floor,
+and returns a :class:`ShardResult` whose candidates use *local* graph
+ids; :func:`revive_candidates` maps them back onto the round's global
+DFG database, re-deriving instruction objects and origins.
 """
 
 from __future__ import annotations
@@ -34,8 +33,16 @@ from repro.mining.edgar import Edgar, non_overlapping_embeddings
 from repro.mining.embeddings import Embedding
 from repro.mining.gspan import DgSpan, Fragment
 from repro.pa.extract import call_site_feasible, order_consistent_subset
-from repro.pa.fragments import Candidate, best_possible_benefit, score
+from repro.pa.fragments import (
+    Candidate,
+    best_possible_benefit,
+    call_benefit,
+    call_overhead,
+    crossjump_benefit,
+    score,
+)
 from repro.pa.legality import ExtractionMethod, legal_embeddings
+from repro.report.ledger import GLOBAL as _LEDGER, Captured
 from repro.telemetry import GLOBAL as _TELEMETRY
 from repro.telemetry import progress as _progress
 
@@ -46,14 +53,21 @@ import time
 #: change to the funnel, the payload fields or the candidate wire
 #: format — it is folded into every cache key, so a bump invalidates
 #: all persisted entries instead of silently reviving stale results.
-SHARD_SCHEMA = "repro.scale.shard/1"
+SHARD_SCHEMA = "repro.scale.shard/2"
 
-#: Funnel tallies a shard reports (mirrors the serial driver's skip
-#: census; replayed into telemetry by the parent in shard order).
-TALLY_KEYS = (
+#: The consider-funnel's verdict census (the ``mine.skips`` record).
+FUNNEL_KEYS = (
     "considered", "floor", "illegal", "lr_infeasible",
-    "order_inconsistent", "unprofitable", "scored",
+    "order_inconsistent", "unprofitable", "blocklisted", "scored",
 )
+#: Edgar's PA-specific embedding pruning split (the ``prune`` record).
+PRUNE_KEYS = ("never_convex", "cyclic")
+#: Tallies a shard reports; the parent sums them in shard order into
+#: telemetry counters and the per-round ledger aggregates.
+TALLY_KEYS = FUNNEL_KEYS + PRUNE_KEYS
+
+#: The miners a shard can run, by ``PAConfig.miner`` name.
+MINERS = {"edgar": Edgar, "dgspan": DgSpan}
 
 
 @dataclass(frozen=True)
@@ -72,6 +86,8 @@ class ShardMiningConfig:
 
     @classmethod
     def from_config(cls, config) -> "ShardMiningConfig":
+        if config.miner not in MINERS:
+            raise ValueError(f"unknown miner: {config.miner!r}")
         return cls(
             miner=config.miner,
             min_support=config.min_support,
@@ -97,13 +113,20 @@ class ShardPayload:
     #: sp-fragile callee names, restricted to calls the shard makes
     fragile: Tuple[str, ...]
     config: ShardMiningConfig
+    #: verify-failure blocklist (candidate fingerprints), and per local
+    #: graph its (function, block) origin, which a fingerprint needs.
+    #: Both are empty unless a round is being re-mined after a failed
+    #: translation validation — only then is a shard position-dependent.
+    blocklist: Tuple[str, ...] = ()
+    origins: Tuple[Tuple[str, int], ...] = ()
 
     def digest(self) -> str:
         """The content-addressed cache key of this work unit.
 
         hashlib (not ``hash()``, which is per-process salted) over the
         schema tag, the mining config, and each block's rendered
-        instruction text + lr flag, plus the restricted fragile set.
+        instruction text + lr flag, plus the restricted fragile set
+        (and the blocklist with the block origins, when there is one).
         Rendered text is a faithful canonical form — the checkpoint
         layer already relies on the render -> reparse round trip being
         exact.
@@ -128,6 +151,9 @@ class ShardPayload:
                 ("L" if lr_flag else "-")
                 + "\x1e".join(str(insn) for insn in insns)
             )
+        if self.blocklist:
+            parts.append("\x1e".join(self.blocklist))
+            parts.append("\x1e".join(f"{f}#{b}" for f, b in self.origins))
         hasher.update("\x1f".join(parts).encode())
         return hasher.hexdigest()
 
@@ -154,6 +180,13 @@ class ShardResult:
     #: worker telemetry snapshot (:mod:`repro.telemetry.remote`), set
     #: by the pool when capture is on.  Transient, never persisted.
     telemetry: Optional[Dict[str, Any]] = None
+    #: the decision-ledger records of this mine and, aligned with
+    #: ``candidates``, each candidate's provenance — set only when
+    #: ledger capture is on.  Transient like ``telemetry``: cache
+    #: bytes never depend on whether the ledger was on, and a cache
+    #: hit replays tallies but no per-fragment records.
+    ledger: Optional[Captured] = None
+    provenance: Optional[List[Dict[str, Any]]] = None
 
     def to_doc(self) -> Dict[str, Any]:
         """The JSON body persisted by the fragment cache."""
@@ -188,7 +221,7 @@ def shard_call_targets(block_insns: Sequence[Sequence[Instruction]]
 
 
 def build_payload(shard, dfgs: Sequence[DFG], lr_live, fragile,
-                  config) -> ShardPayload:
+                  config, blocklist=frozenset()) -> ShardPayload:
     """Assemble the self-contained payload of one shard.
 
     *lr_live* is the module-global set of (function, block) origins
@@ -196,7 +229,9 @@ def build_payload(shard, dfgs: Sequence[DFG], lr_live, fragile,
     set.  Both are narrowed to shard-local facts here: per-block flags,
     and the intersection with the calls the shard actually makes — so
     the payload (and its digest) only changes when a fact that can
-    change this shard's mining outcome changes.
+    change this shard's mining outcome changes.  A non-empty
+    *blocklist* of candidate fingerprints travels whole, with the
+    block origins that let the funnel fingerprint its candidates.
     """
     block_insns = [list(dfgs[g].insns) for g in shard.graph_ids]
     lr_flags = tuple(dfgs[g].origin in lr_live for g in shard.graph_ids)
@@ -209,27 +244,24 @@ def build_payload(shard, dfgs: Sequence[DFG], lr_live, fragile,
         lr_live=lr_flags,
         fragile=fragile_local,
         config=ShardMiningConfig.from_config(config),
+        blocklist=tuple(sorted(blocklist)),
+        origins=(tuple(dfgs[g].origin for g in shard.graph_ids)
+                 if blocklist else ()),
     )
 
 
 def _make_miner(conf: ShardMiningConfig):
+    """The configured miner (the one miner factory)."""
+    kwargs = dict(
+        min_support=conf.min_support,
+        min_nodes=conf.min_nodes,
+        max_nodes=conf.max_nodes,
+        max_embeddings=conf.max_embeddings,
+    )
     if conf.miner == "edgar":
-        return Edgar(
-            min_support=conf.min_support,
-            min_nodes=conf.min_nodes,
-            max_nodes=conf.max_nodes,
-            max_embeddings=conf.max_embeddings,
-            pa_pruning=conf.pa_pruning,
-            mis_exact_limit=conf.mis_exact_limit,
-        )
-    if conf.miner == "dgspan":
-        return DgSpan(
-            min_support=conf.min_support,
-            min_nodes=conf.min_nodes,
-            max_nodes=conf.max_nodes,
-            max_embeddings=conf.max_embeddings,
-        )
-    raise ValueError(f"unknown miner: {conf.miner!r}")
+        kwargs.update(pa_pruning=conf.pa_pruning,
+                      mis_exact_limit=conf.mis_exact_limit)
+    return MINERS[conf.miner](**kwargs)
 
 
 def _candidate_to_wire(candidate: Candidate) -> Dict[str, Any]:
@@ -248,16 +280,22 @@ def _candidate_to_wire(candidate: Candidate) -> Dict[str, Any]:
     }
 
 
-def mine_shard(payload: ShardPayload) -> ShardResult:
+def mine_shard(payload: ShardPayload,
+               capture_ledger: bool = False) -> ShardResult:
     """Run the candidate funnel over one shard, in the calling process.
 
-    The same pipeline as the serial driver's ``collect_candidates`` —
-    shallow pre-pass, full pass, flow-projection pass, with the
+    Shallow pre-pass, full pass, flow-projection pass, with the
     consider-funnel streaming fragments through legality, MIS overlap
-    resolution, order consistency and the benefit model — except that
-    the benefit floor is *shard-local* (starts at zero) and lr/fragile
-    facts come from the payload.  Deterministic for fixed payload
-    content: no randomness, no global state, stable tie-breaks.
+    resolution, order consistency and the benefit model.  The benefit
+    floor is *shard-local* (starts at zero) and lr/fragile facts come
+    from the payload.  Deterministic for fixed payload content: no
+    randomness, no global state, stable tie-breaks.
+
+    The decision ledger runs in an isolated capture scope: with
+    *capture_ledger* the per-fragment records (``legality``, ``mis``,
+    ``candidate``, ``mine.pass``) and each candidate's provenance ride
+    back on the transient ``ledger``/``provenance`` fields for the
+    parent to replay; without it the mine records nothing.
 
     The active run governor is polled throughout, so a deadline or
     interrupt unwinds cleanly mid-shard; the result is then flagged
@@ -276,6 +314,7 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
     ]
     fragile = frozenset(payload.fragile)
     lr_flags = payload.lr_live
+    blocklist = frozenset(payload.blocklist)
     miner = _make_miner(conf)
     best: List[Optional[Candidate]] = [None]
     collected: List[Candidate] = []
@@ -307,12 +346,20 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
             tallies["floor"] += 1
             return
         if len(frag.embeddings) > 1000:
-            # same deterministic-prefix bound as the serial funnel
+            # per-embedding legality below costs a reachability sweep
+            # each; a deterministic prefix keeps scoring bounded (a
+            # sound benefit undercount)
             frag.embeddings = frag.embeddings[:1000]
         method, legal = legal_embeddings(dfgs, frag, fragile)
         if method is None or len(legal) < 2:
             tallies["illegal"] += 1
             return
+        if capture_ledger:
+            # the funnel stage counts of a `candidate` ledger record
+            funnel = {"labels": list(frag.node_labels),
+                      "size": frag.num_nodes, "method": method.value,
+                      "embeddings": len(frag.embeddings),
+                      "legal": len(legal)}
         if method is ExtractionMethod.CALL:
             legal = [
                 e for e in legal
@@ -321,21 +368,66 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
             ]
             if len(legal) < 2:
                 tallies["lr_infeasible"] += 1
+                if capture_ledger:
+                    _LEDGER.emit("candidate", verdict="lr_infeasible",
+                                 **funnel, lr_feasible=len(legal))
                 return
+        mis_stats: Optional[Dict[str, Any]] = {} if capture_ledger else None
         disjoint = non_overlapping_embeddings(
-            legal, exact_limit=conf.mis_exact_limit
+            legal, exact_limit=conf.mis_exact_limit, stats=mis_stats
         )
         kept, union = order_consistent_subset(dfgs, disjoint)
+        if capture_ledger:
+            funnel.update(
+                mis_size=len(disjoint),
+                collision_nodes=mis_stats.get("vertices"),
+                collision_edges=mis_stats.get("edges"),
+                mis_mode=mis_stats.get("mode"),
+                order_kept=len(kept),
+            )
         if len(kept) < 2:
             tallies["order_inconsistent"] += 1
+            if capture_ledger:
+                _LEDGER.emit("candidate", verdict="order_inconsistent",
+                             **funnel)
             return
         witness = kept[0]
         insns = [dfgs[witness.graph].insns[n] for n in witness.nodes]
-        candidate = score(frag, method, insns, kept, union, origins=())
+        origins = (tuple(sorted({payload.origins[e.graph] for e in kept}))
+                   if blocklist else ())
+        candidate = score(frag, method, insns, kept, union, origins)
         if candidate is None:
             tallies["unprofitable"] += 1
+            if capture_ledger:
+                if method is ExtractionMethod.CALL:
+                    benefit = call_benefit(
+                        frag.num_nodes, len(kept), call_overhead(insns)
+                    )
+                else:
+                    benefit = crossjump_benefit(frag.num_nodes, len(kept))
+                _LEDGER.emit("candidate", verdict="unprofitable",
+                             **funnel, benefit=benefit)
+            return
+        if blocklist and candidate.fingerprint() in blocklist:
+            # a verify-failure recovery re-mine: the candidate whose
+            # extraction failed validation must neither be returned
+            # nor raise the floor over the alternatives
+            tallies["blocklisted"] += 1
             return
         tallies["scored"] += 1
+        if capture_ledger:
+            # what the extraction record reports (see the driver)
+            candidate.provenance = {
+                key: funnel[key] for key in (
+                    "embeddings", "legal", "mis_size", "collision_nodes",
+                    "collision_edges", "mis_mode", "order_kept")
+            }
+            candidate.provenance.update(
+                collision_adjacency=mis_stats.get("adjacency"),
+                chosen_indices=mis_stats.get("chosen_indices"),
+            )
+            _LEDGER.emit("candidate", verdict="scored", **funnel,
+                         benefit=candidate.benefit)
         collected.append(candidate)
         if best[0] is None or candidate.sort_key() < best[0].sort_key():
             best[0] = candidate
@@ -343,28 +435,41 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
     miner.prune_subtree = prune_subtree
     miner.on_fragment = consider
     try:
-        with _TELEMETRY.span("scale.shard.mine",
-                             shard=payload.shard_index,
-                             graphs=len(dfgs)):
+        with _LEDGER.capture(enabled=capture_ledger) as captured, \
+                _TELEMETRY.span("scale.shard.mine",
+                                shard=payload.shard_index,
+                                graphs=len(dfgs)):
             if miner.max_nodes > 4:
-                # shallow pre-pass seeds the shard-local floor cheaply
+                # Quick shallow pre-pass: small fragments with many
+                # occurrences are found in milliseconds and set a
+                # benefit floor that prunes most of the deep lattice
+                # before the full-depth pass even starts.
                 saved_max = miner.max_nodes
                 miner.max_nodes = 3
                 try:
-                    miner.mine(dfgs)
+                    with _LEDGER.context(mine_pass="shallow"):
+                        miner.mine(dfgs)
                 finally:
                     miner.max_nodes = saved_max
-            miner.mine(dfgs)
+            with _LEDGER.context(mine_pass="full"):
+                miner.mine(dfgs)
             if conf.flow_pass and FLOW_KINDS != mined_kinds:
+                # Second pass on the data-flow projection; node
+                # numbering is identical, so embeddings transfer
+                # directly and legality still checks the full
+                # dep_edges.
                 flow_dfgs = [
                     build_dfg(BasicBlock([], list(insns)),
                               origin=("", local), mined_kinds=FLOW_KINDS)
                     for local, insns in enumerate(payload.block_insns)
                 ]
-                miner.mine(flow_dfgs)
+                with _LEDGER.context(mine_pass="flow"):
+                    miner.mine(flow_dfgs)
     finally:
         miner.prune_subtree = None
         miner.on_fragment = None
+    tallies["never_convex"] = miner.pruned_never_convex
+    tallies["cyclic"] = miner.pruned_cyclic
     collected.sort(key=lambda c: c.sort_key())
     result = ShardResult(
         shard_index=payload.shard_index,
@@ -374,6 +479,9 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
         deadline_hit=miner.deadline_hit,
         mine_seconds=time.perf_counter() - started,
     )
+    if capture_ledger:
+        result.ledger = captured
+        result.provenance = [c.provenance for c in collected]
     _progress.publish(
         "shard.done",
         shard=payload.shard_index,
@@ -386,17 +494,20 @@ def mine_shard(payload: ShardPayload) -> ShardResult:
 
 
 def revive_candidates(dfgs: Sequence[DFG], graph_ids: Sequence[int],
-                      wire: Sequence[Dict[str, Any]]) -> List[Candidate]:
+                      wire: Sequence[Dict[str, Any]],
+                      provenance: Optional[Sequence[Optional[Dict[str, Any]]]]
+                      = None) -> List[Candidate]:
     """Map a shard result's candidates onto the global DFG database.
 
     Local graph ids become global ones through *graph_ids* (the shard's
     member list), instruction objects are re-read from the live DFGs
-    via the witness embedding, and origins are re-derived — the same
-    revival the checkpoint carryover uses, which is what lets cached
-    results apply to a module whose *other* blocks have changed.
+    via the witness embedding, and origins are re-derived — which is
+    what lets cached results apply to a module whose *other* blocks
+    have changed.  *provenance*, when the shard captured its ledger,
+    is aligned with *wire* and re-attached to each candidate.
     """
     revived: List[Candidate] = []
-    for data in wire:
+    for index, data in enumerate(wire):
         embeddings = [
             Embedding(graph_ids[local], tuple(nodes))
             for local, nodes in data["embeddings"]
@@ -421,6 +532,7 @@ def revive_candidates(dfgs: Sequence[DFG], graph_ids: Sequence[int],
                 benefit=data["benefit"],
                 union_edges={tuple(e) for e in data["union_edges"]},
                 origins=origins,
+                provenance=provenance[index] if provenance else None,
             )
         )
     return revived

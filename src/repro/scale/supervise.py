@@ -65,7 +65,6 @@ counters (OpenMetrics: ``repro_scale_shard_retries_total`` /
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import signal
@@ -156,20 +155,6 @@ class SuperviseOutcome:
         return [q for q in self.quarantined if not q["recovered"]]
 
 
-@contextlib.contextmanager
-def _suppressed_ledger():
-    """Silence ledger emission around in-process shard mining: shard
-    funnels never write decision records directly — the parent emits
-    per-shard ledger records itself, identically for every worker
-    count.  (Telemetry is handled separately by the capture scope.)"""
-    ledger_was = _LEDGER.enabled
-    _LEDGER.enabled = False
-    try:
-        yield
-    finally:
-        _LEDGER.enabled = ledger_was
-
-
 def _worker_init(progress_queue=None) -> None:
     """Runs once in every supervised child before it accepts work.
 
@@ -192,25 +177,29 @@ def _worker_init(progress_queue=None) -> None:
     _progress.worker_attach(progress_queue)
 
 
-def _mine_shard_job(payload: ShardPayload, budget: Optional[float],
-                    capture_telemetry: bool = False) -> ShardResult:
-    """Mine one shard under a child-local governor.
+def _mine_captured(payload: ShardPayload, capture_telemetry: bool,
+                   capture_ledger: bool) -> ShardResult:
+    """Mine one shard with telemetry recorded into an isolated scope,
+    whose snapshot rides back on the (transient) ``result.telemetry``
+    field for the parent to stitch in — suppressed entirely when
+    capture is off.  The ledger is isolated by ``mine_shard`` itself."""
+    with _remote.capture(enabled=capture_telemetry) as captured:
+        result = mine_shard(payload, capture_ledger)
+    result.telemetry = captured.snapshot
+    return result
 
-    With *capture_telemetry*, the mine records spans/counters into an
-    isolated scope whose snapshot rides back on the (transient)
-    ``result.telemetry`` field for the parent to stitch in.
-    """
+
+def _mine_shard_job(payload: ShardPayload, budget: Optional[float],
+                    capture_telemetry: bool = False,
+                    capture_ledger: bool = False) -> ShardResult:
+    """Mine one shard under a child-local governor."""
     child_governor = RunGovernor(time_budget=budget)
     with _governor.activate(child_governor):
-        if not capture_telemetry:
-            return mine_shard(payload)
-        with _remote.capture() as captured:
-            result = mine_shard(payload)
-        result.telemetry = captured.snapshot
-        return result
+        return _mine_captured(payload, capture_telemetry, capture_ledger)
 
 
-def _supervised_worker(conn, progress_queue, capture_telemetry) -> None:
+def _supervised_worker(conn, progress_queue, capture_telemetry,
+                       capture_ledger) -> None:
     """Child main loop: recv task, mine (or obey a chaos directive),
     send back ``(shard, result, error)``.  ``None`` means shut down."""
     _worker_init(progress_queue)
@@ -231,7 +220,8 @@ def _supervised_worker(conn, progress_queue, capture_telemetry) -> None:
             if directive == "poison":
                 raise FaultInjected(
                     f"injected poison on shard {shard_index}")
-            result = _mine_shard_job(payload, budget, capture_telemetry)
+            result = _mine_shard_job(payload, budget, capture_telemetry,
+                                     capture_ledger)
         except BaseException as exc:  # noqa: B036 - must not die silently
             try:
                 conn.send((shard_index, None,
@@ -281,12 +271,14 @@ def _backoff(attempt: int, governor: RunGovernor) -> float:
 class _Worker:
     """One tracked child process with its duplex task pipe."""
 
-    def __init__(self, progress_queue, capture_telemetry: bool):
+    def __init__(self, progress_queue, capture_telemetry: bool,
+                 capture_ledger: bool):
         parent_conn, child_conn = multiprocessing.Pipe()
         self.conn = parent_conn
         self.process = multiprocessing.Process(
             target=_supervised_worker,
-            args=(child_conn, progress_queue, capture_telemetry),
+            args=(child_conn, progress_queue, capture_telemetry,
+                  capture_ledger),
             daemon=True,
         )
         self.process.start()
@@ -319,6 +311,7 @@ def supervise_mine(
     capture_telemetry: bool = False,
     retries: int = DEFAULT_SHARD_RETRIES,
     timeout: Optional[float] = None,
+    capture_ledger: bool = False,
 ) -> SuperviseOutcome:
     """Expand the missing shards on a supervised worker fleet.
 
@@ -397,7 +390,8 @@ def supervise_mine(
             busy = sum(1 for w in fleet if w.shard is not None)
             target = min(workers, busy + len(pending))
             while len(fleet) < target:
-                fleet.append(_Worker(queue, capture_telemetry))
+                fleet.append(_Worker(queue, capture_telemetry,
+                                     capture_ledger))
             # dispatch every backoff-ready shard onto an idle worker
             for worker in fleet:
                 if worker.shard is not None:
@@ -515,11 +509,8 @@ def supervise_mine(
             if shard_index in poisoned:
                 raise FaultInjected(
                     f"injected poison on shard {shard_index}")
-            with _suppressed_ledger():
-                with _remote.capture(
-                        enabled=capture_telemetry) as captured:
-                    result = mine_shard(payload_by_shard[shard_index])
-            result.telemetry = captured.snapshot
+            result = _mine_captured(payload_by_shard[shard_index],
+                                    capture_telemetry, capture_ledger)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:  # noqa: B036 - quarantine, not crash
@@ -545,6 +536,7 @@ def mine_serial(
     bus=None,
     capture_telemetry: bool = False,
     retries: int = DEFAULT_SHARD_RETRIES,
+    capture_ledger: bool = False,
 ) -> SuperviseOutcome:
     """The ``workers <= 1`` path: same retry/quarantine state machine,
     in-process (no crash/hang directives — there is no child to kill;
@@ -567,11 +559,8 @@ def mine_serial(
                                     _SERIAL_FAULT_DIRECTIVES) is not None:
                     raise FaultInjected(
                         f"injected poison on shard {shard.index}")
-                with _suppressed_ledger():
-                    with _remote.capture(
-                            enabled=capture_telemetry) as captured:
-                        result = mine_shard(payload)
-                result.telemetry = captured.snapshot
+                result = _mine_captured(payload, capture_telemetry,
+                                        capture_ledger)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:  # noqa: B036 - retry, not crash

@@ -8,12 +8,25 @@ from repro.binary.blocks import module_from_asm
 from repro.binary.layout import layout
 from repro.binary.program import Module
 from repro.isa.assembler import parse_program
+from repro.pa.driver import PAConfig
+from repro.resilience.governor import RunGovernor
+from repro.scale.cache import FragmentCache
+from repro.scale.pool import run_sharded_round
 from repro.sim.machine import run_image
 
 
 def module_from_source(asm_text: str, entry: str = "_start") -> Module:
     """Assemble text into a rewritable module."""
     return module_from_asm(parse_program(asm_text), entry=entry)
+
+
+def mine_candidates(module: Module, config: PAConfig = None):
+    """Mine one round of *module* through the sharded engine (a fresh
+    cache); returns the extractable candidates, best first."""
+    candidates, __ = run_sharded_round(
+        module, config or PAConfig(), RunGovernor(), FragmentCache()
+    )
+    return candidates
 
 
 def run_asm(asm_text: str, entry: str = "_start", max_steps: int = 1_000_000):

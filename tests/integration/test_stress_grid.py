@@ -10,8 +10,10 @@ miscompiles.
 import pytest
 
 from repro.dfg.graph import FLOW_KINDS, MINED_KINDS
-from repro.pa.driver import PAConfig, apply_candidate, best_candidate
+from repro.pa.driver import PAConfig, apply_candidate
 from repro.workloads import PROGRAMS, compile_workload, verify_workload
+
+from tests.conftest import mine_candidates
 
 
 CONFIGS = [
@@ -35,10 +37,10 @@ def test_stress_round_by_round(name, config_index):
     config = CONFIGS[config_index]
     module = compile_workload(name)
     for round_index in range(100):
-        candidate = best_candidate(module, config)
-        if candidate is None:
+        candidates = mine_candidates(module, config)
+        if not candidates:
             break
-        record = apply_candidate(module, config, candidate)
+        record = apply_candidate(module, config, candidates[0])
         try:
             verify_workload(name, module)
         except AssertionError as exc:

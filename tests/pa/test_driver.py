@@ -3,20 +3,20 @@
 import pytest
 
 from repro.binary.layout import layout
-from repro.pa.driver import PAConfig, best_candidate, run_pa
+from repro.pa.driver import PAConfig, run_pa
 from repro.pa.legality import ExtractionMethod
 from repro.sim.machine import run_image
 
 from tests.conftest import (
     SHARED_FRAGMENT_PROGRAM,
+    mine_candidates,
     module_from_source,
     run_asm,
 )
 
 
 def test_finds_reordered_fragment(shared_fragment_module):
-    candidate = best_candidate(shared_fragment_module, PAConfig())
-    assert candidate is not None
+    candidate = mine_candidates(shared_fragment_module)[0]
     assert candidate.method is ExtractionMethod.CALL
     assert candidate.occurrences == 2
     assert candidate.size >= 4

@@ -1,18 +1,12 @@
-"""Batching, carryover, and time-budget behaviour of the driver."""
+"""Batching and time-budget behaviour of the driver."""
 
 import pytest
 
 from repro.binary.layout import layout
-from repro.pa.driver import (
-    PAConfig,
-    apply_batch,
-    best_candidate,
-    collect_candidates,
-    run_pa,
-)
+from repro.pa.driver import PAConfig, apply_batch, run_pa
 from repro.sim.machine import run_image
 
-from tests.conftest import module_from_source, run_asm
+from tests.conftest import mine_candidates, module_from_source, run_asm
 
 TWO_INDEPENDENT = """
 _start:
@@ -63,7 +57,7 @@ g2:
 
 def test_collect_returns_multiple_candidates():
     module = module_from_source(TWO_INDEPENDENT)
-    candidates = collect_candidates(module, PAConfig())
+    candidates = mine_candidates(module)
     assert len(candidates) >= 2
     # best first
     benefits = [c.benefit for c in candidates]
@@ -73,7 +67,7 @@ def test_collect_returns_multiple_candidates():
 def test_batch_applies_non_conflicting():
     reference = run_asm(TWO_INDEPENDENT)
     module = module_from_source(TWO_INDEPENDENT)
-    candidates = collect_candidates(module, PAConfig())
+    candidates = mine_candidates(module)
     records, touched_blocks, touched_functions = apply_batch(
         module, PAConfig(), candidates
     )
@@ -95,19 +89,11 @@ def test_batch_vs_strict_same_savings():
 
 def test_candidates_have_origins():
     module = module_from_source(TWO_INDEPENDENT)
-    for candidate in collect_candidates(module, PAConfig()):
+    for candidate in mine_candidates(module):
         assert candidate.origins
         for func_name, block_index in candidate.origins:
             func = module.function(func_name)
             assert 0 <= block_index < len(func.blocks)
-
-
-def test_warm_candidates_raise_floor():
-    module = module_from_source(TWO_INDEPENDENT)
-    first = collect_candidates(module, PAConfig())
-    warm = collect_candidates(module, PAConfig(), warm=first)
-    # warm-started collection still returns the same best candidate
-    assert warm[0].benefit == first[0].benefit
 
 
 def test_time_budget_zero_still_terminates():

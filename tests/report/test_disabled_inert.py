@@ -3,7 +3,11 @@ bit-identical results (the same contract as the telemetry registry)."""
 
 from repro.pa.driver import PAConfig, run_pa
 
-from tests.conftest import SHARED_FRAGMENT_PROGRAM, module_from_source
+from tests.conftest import (
+    SHARED_FRAGMENT_PROGRAM,
+    mine_candidates,
+    module_from_source,
+)
 
 
 def _run(config=None):
@@ -38,21 +42,17 @@ class TestDisabledGuard:
     def test_candidate_provenance_absent_when_disabled(
         self, global_ledger
     ):
-        from repro.pa.driver import collect_candidates
-
         module = module_from_source(SHARED_FRAGMENT_PROGRAM)
-        candidates = collect_candidates(module, PAConfig())
+        candidates = mine_candidates(module)
         assert candidates
         assert all(c.provenance is None for c in candidates)
 
     def test_candidate_provenance_attached_when_enabled(
         self, global_ledger
     ):
-        from repro.pa.driver import collect_candidates
-
         global_ledger.enable()
         module = module_from_source(SHARED_FRAGMENT_PROGRAM)
-        candidates = collect_candidates(module, PAConfig())
+        candidates = mine_candidates(module)
         assert candidates
         best = candidates[0]
         assert best.provenance is not None

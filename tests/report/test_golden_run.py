@@ -116,12 +116,15 @@ class TestGoldenRun:
     def test_mine_passes_recorded_per_round(self, golden):
         __, ___, records = golden
         passes = _of(records, "mine.pass")
-        for round_number in (0, 1, 2):
+        # one pass triple per *mined* shard; cache hits record none
+        mined = {r["round"]: r["mined"] for r in _of(records, "scale.round")}
+        assert mined == {0: 2, 1: 4, 2: 2}
+        for round_number, shards in mined.items():
             labels = [
                 p["mine_pass"] for p in passes
                 if p["round"] == round_number
             ]
-            assert labels == ["shallow", "full", "flow"]
+            assert labels == ["shallow", "full", "flow"] * shards
         assert all(p["engine"] == "edgar" for p in passes)
 
     def test_funnel_and_prune_records(self, golden):

@@ -128,6 +128,31 @@ def test_unknown_additive_fields_ignored(tmp_path, module):
     assert load_checkpoint(str(path)).round == 0
 
 
+def test_serial_engine_checkpoint_resumes(tmp_path):
+    """A checkpoint of the retired serial engine (``workers`` 0 and a
+    ``carryover`` candidate list) loads, and resumes on the sharded
+    engine to the uninterrupted run's module."""
+    from repro.pa.driver import run_pa
+
+    reference = module_from_source(SHARED_FRAGMENT_PROGRAM)
+    run_pa(reference, PAConfig())
+    path = tmp_path / "ck.json"
+    run_pa(module_from_source(SHARED_FRAGMENT_PROGRAM),
+           PAConfig(max_rounds=1, checkpoint_path=str(path)))
+    doc = json.loads(path.read_text())
+    doc["config"]["workers"] = 0
+    doc["carryover"] = [{"method": "call", "benefit": 1, "embeddings": []}]
+    path.write_text(json.dumps(doc))
+    checkpoint = load_checkpoint(str(path))
+    resumed = module_from_checkpoint(checkpoint)
+    config = config_from_dict(checkpoint.config)
+    config.max_rounds = PAConfig().max_rounds
+    config.checkpoint_path = None
+    result = run_pa(resumed, config, resume=checkpoint)
+    assert result.workers == 1
+    assert resumed.render() == reference.render()
+
+
 def test_corrupt_fault_garbles_payload(tmp_path, module):
     path = str(tmp_path / "ck.json")
     arm("checkpoint.write:corrupt")

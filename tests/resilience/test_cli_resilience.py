@@ -44,16 +44,31 @@ def test_checkpoint_resume_roundtrip_bit_identical(tmp_path, capsys):
 
 
 def test_injected_fault_is_a_typed_diagnostic(capsys):
-    code = main(["pa", *COMMON, "--fault", "mis.solve:raise"])
+    code = main(["pa", *COMMON, "--fault", "extract.apply:raise"])
     assert code == EXIT_FAULT
     err = capsys.readouterr().err
     assert "error[REPRO-FAULT]" in err
     assert "Traceback" not in err
 
 
+def test_in_shard_fault_is_contained_by_redelivery(tmp_path, capsys):
+    """A crash inside shard mining is a failed delivery of that shard:
+    it is mined again, so the run completes with the clean output."""
+    clean, crashed = tmp_path / "clean.s", tmp_path / "crashed.s"
+    assert main(["pa", *COMMON, "-o", str(clean)]) == 0
+    capsys.readouterr()
+    code = main(["pa", *COMMON, "--fault", "mis.solve:raise",
+                 "-o", str(crashed)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "needed redelivery" in err
+    assert "Traceback" not in err
+    assert crashed.read_text() == clean.read_text()
+
+
 def test_fault_abort_leaves_run_abort_ledger_record(tmp_path, capsys):
     ledger_out = tmp_path / "ledger.jsonl"
-    code = main(["pa", *COMMON, "--fault", "mine.pass:raise",
+    code = main(["pa", *COMMON, "--fault", "extract.apply:raise",
                  "--ledger-out", str(ledger_out)])
     assert code == EXIT_FAULT
     capsys.readouterr()
@@ -155,7 +170,7 @@ def test_checkpoint_file_may_already_exist(tmp_path):
 
 
 def test_env_armed_fault(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_FAULT", "mine.pass:raise")
+    monkeypatch.setenv("REPRO_FAULT", "extract.apply:raise")
     code = main(["pa", *COMMON])
     assert code == EXIT_FAULT
     assert "error[REPRO-FAULT]" in capsys.readouterr().err

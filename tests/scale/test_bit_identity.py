@@ -1,6 +1,7 @@
 """The scale engine's determinism gate, on all eight workloads: one
 worker vs four workers, and cold cache vs warm persistent cache, must
-produce byte-identical modules and identical extraction records.
+produce byte-identical modules, identical extraction records and the
+pinned savings.
 
 This is the invariant that makes ``--workers``/``--fragment-cache``
 safe to flip on anywhere: they change wall-clock, never the result.
@@ -10,6 +11,20 @@ import pytest
 
 from repro.pa.driver import PAConfig, run_pa
 from repro.workloads import PROGRAMS, compile_workload
+
+
+#: instructions saved at ``max_nodes=4`` — equal to what the retired
+#: single-pool serial engine saved, so no workload may drop below it
+EXPECTED_SAVED = {
+    "bitcnts": 19,
+    "crc": 8,
+    "dijkstra": 18,
+    "patricia": 22,
+    "qsort": 12,
+    "rijndael": 87,
+    "search": 14,
+    "sha": 36,
+}
 
 
 def _config(**overrides):
@@ -42,7 +57,7 @@ def test_workers_and_cache_state_do_not_change_the_result(
     key = lambda r: [(x.round, x.method, x.size, x.occurrences,
                       x.new_symbol) for x in r.records]
     assert key(r1) == key(r4) == key(rw)
-    assert r1.saved == r4.saved == rw.saved
+    assert r1.saved == r4.saved == rw.saved == EXPECTED_SAVED[name]
     if r1.rounds:
         # the warm run actually exercised the persistent cache
         assert rw.cache_hits > 0

@@ -1,7 +1,7 @@
 """The sharded round engine: deterministic merge regardless of worker
 count, governor-aware teardown with per-shard salvage, the
-``scale.pool`` fault point, and scale-mode driver semantics (carryover
-off, counters populated, checkpoint/resume continuity)."""
+``scale.pool`` fault point, and driver semantics (counters populated,
+checkpoint/resume continuity)."""
 
 import pytest
 

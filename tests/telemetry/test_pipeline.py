@@ -3,14 +3,13 @@
 import pytest
 
 from repro import telemetry
-from repro.pa.driver import (
-    PAConfig,
-    apply_candidate,
-    best_candidate,
-    run_pa,
-)
+from repro.pa.driver import PAConfig, apply_candidate, run_pa
 
-from tests.conftest import SHARED_FRAGMENT_PROGRAM, module_from_source
+from tests.conftest import (
+    SHARED_FRAGMENT_PROGRAM,
+    mine_candidates,
+    module_from_source,
+)
 
 
 @pytest.fixture
@@ -123,14 +122,13 @@ class TestApplyCandidateRound:
     def test_direct_call_defaults_to_round_zero(self):
         module = module_from_source(SHARED_FRAGMENT_PROGRAM)
         config = PAConfig()
-        candidate = best_candidate(module, config)
-        assert candidate is not None
+        candidate = mine_candidates(module, config)[0]
         record = apply_candidate(module, config, candidate)
         assert record.round == 0
 
     def test_explicit_round_is_stamped(self):
         module = module_from_source(SHARED_FRAGMENT_PROGRAM)
         config = PAConfig()
-        candidate = best_candidate(module, config)
+        candidate = mine_candidates(module, config)[0]
         record = apply_candidate(module, config, candidate, round=4)
         assert record.round == 4

@@ -5,7 +5,7 @@ import pytest
 
 from repro.binary.program import BasicBlock, Function
 from repro.isa.assembler import parse_instruction
-from repro.pa.driver import PAConfig, apply_batch, collect_candidates
+from repro.pa.driver import PAConfig, apply_batch
 from repro.pa.liveness import lr_live_out_blocks
 from repro.report import ledger
 from repro.verify.validate import (
@@ -16,7 +16,11 @@ from repro.verify.validate import (
     verify_round,
 )
 
-from tests.conftest import SHARED_FRAGMENT_PROGRAM, module_from_source
+from tests.conftest import (
+    SHARED_FRAGMENT_PROGRAM,
+    mine_candidates,
+    module_from_source,
+)
 
 
 @pytest.fixture
@@ -34,7 +38,7 @@ def one_round(module):
     config = PAConfig(miner="edgar")
     snapshot = snapshot_module(module)
     pre_lr_live = lr_live_out_blocks(module)
-    candidates = collect_candidates(module, config)
+    candidates = mine_candidates(module, config)
     records, __, ___ = apply_batch(module, config, candidates)
     assert records, "the shared-fragment program must yield an extraction"
     return snapshot, pre_lr_live, records
