@@ -7,6 +7,8 @@ This is the invariant that makes ``--workers``/``--fragment-cache``
 safe to flip on anywhere: they change wall-clock, never the result.
 """
 
+import hashlib
+
 import pytest
 
 from repro.pa.driver import PAConfig, run_pa
@@ -24,6 +26,31 @@ EXPECTED_SAVED = {
     "rijndael": 87,
     "search": 14,
     "sha": 36,
+}
+
+#: lattice nodes mined by the cold 1-worker run — a host-independent
+#: work counter: an exact speed-up of the miner must leave it unchanged
+EXPECTED_LATTICE_NODES = {
+    "bitcnts": 531,
+    "crc": 678,
+    "dijkstra": 493,
+    "patricia": 1069,
+    "qsort": 1504,
+    "rijndael": 5182,
+    "search": 1995,
+    "sha": 1795,
+}
+
+#: first 8 hex digits of the SHA-256 of the optimised module's text
+EXPECTED_DIGEST = {
+    "bitcnts": "c6f61763",
+    "crc": "02cc8149",
+    "dijkstra": "3f71f871",
+    "patricia": "919c88a6",
+    "qsort": "0fcbb0e3",
+    "rijndael": "cc86ffcf",
+    "search": "2c410db6",
+    "sha": "b14ca36b",
 }
 
 
@@ -58,6 +85,9 @@ def test_workers_and_cache_state_do_not_change_the_result(
                       x.new_symbol) for x in r.records]
     assert key(r1) == key(r4) == key(rw)
     assert r1.saved == r4.saved == rw.saved == EXPECTED_SAVED[name]
+    assert r1.lattice_nodes == EXPECTED_LATTICE_NODES[name]
+    digest = hashlib.sha256(w1.render().encode()).hexdigest()[:8]
+    assert digest == EXPECTED_DIGEST[name]
     if r1.rounds:
         # the warm run actually exercised the persistent cache
         assert rw.cache_hits > 0
