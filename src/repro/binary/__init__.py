@@ -23,7 +23,6 @@ from repro.binary.program import BasicBlock, Function, Module
 from repro.binary.layout import LayoutError, layout
 from repro.binary.loader import load_image
 from repro.binary.blocks import module_from_asm
-from repro.binary.cfg import build_cfg
 
 __all__ = [
     "Image",
@@ -34,5 +33,4 @@ __all__ = [
     "LayoutError",
     "load_image",
     "module_from_asm",
-    "build_cfg",
 ]

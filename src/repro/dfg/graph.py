@@ -8,10 +8,8 @@ both the collision detection and the extraction phase rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Iterable, List, Set, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -50,14 +48,6 @@ class DFG:
     dep_edges: Set[Edge]
     origin: Tuple[str, int] = ("?", -1)
 
-    #: lazily built adjacency caches
-    _succ: Optional[List[List[Tuple[int, str]]]] = field(
-        default=None, repr=False, compare=False
-    )
-    _pred: Optional[List[List[Tuple[int, str]]]] = field(
-        default=None, repr=False, compare=False
-    )
-
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.insns):
             raise ValueError("labels and insns must align")
@@ -76,26 +66,6 @@ class DFG:
     def num_nodes(self) -> int:
         return len(self.labels)
 
-    def _build_adjacency(self) -> None:
-        succ: List[List[Tuple[int, str]]] = [[] for __ in self.labels]
-        pred: List[List[Tuple[int, str]]] = [[] for __ in self.labels]
-        for src, dst, kind in sorted(self.edges):
-            succ[src].append((dst, kind))
-            pred[dst].append((src, kind))
-        self._succ, self._pred = succ, pred
-
-    def successors(self, node: int) -> List[Tuple[int, str]]:
-        """Outgoing mined edges of *node* as ``(dst, kind)`` pairs."""
-        if self._succ is None:
-            self._build_adjacency()
-        return self._succ[node]
-
-    def predecessors(self, node: int) -> List[Tuple[int, str]]:
-        """Incoming mined edges of *node* as ``(src, kind)`` pairs."""
-        if self._pred is None:
-            self._build_adjacency()
-        return self._pred[node]
-
     def induced_dep_edges(self, nodes: Iterable[int]) -> Set[Edge]:
         """Full constraint edges between the given nodes."""
         node_set = set(nodes)
@@ -104,30 +74,6 @@ class DFG:
             for (s, d, k) in self.dep_edges
             if s in node_set and d in node_set
         }
-
-    def dep_successors(self, node: int) -> Set[int]:
-        """Direct successors in the full constraint graph."""
-        return {d for (s, d, __) in self.dep_edges if s == node}
-
-    def dep_predecessors(self, node: int) -> Set[int]:
-        return {s for (s, d, __) in self.dep_edges if d == node}
-
-    # ------------------------------------------------------------------
-    def in_degree(self, node: int, kinds: FrozenSet[str] = MINED_KINDS) -> int:
-        return sum(1 for (s, d, k) in self.edges if d == node and k in kinds)
-
-    def out_degree(self, node: int, kinds: FrozenSet[str] = MINED_KINDS) -> int:
-        return sum(1 for (s, d, k) in self.edges if s == node and k in kinds)
-
-    # ------------------------------------------------------------------
-    def to_networkx(self, full: bool = False) -> "nx.MultiDiGraph":
-        """Export to networkx (for tests, visualization, assertions)."""
-        graph = nx.MultiDiGraph()
-        for i, label in enumerate(self.labels):
-            graph.add_node(i, label=label)
-        for src, dst, kind in (self.dep_edges if full else self.edges):
-            graph.add_edge(src, dst, kind=kind)
-        return graph
 
     def __repr__(self) -> str:
         return (

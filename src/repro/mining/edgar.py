@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.dfg.graph import DFG
-
 from repro.mining.collision import build_collision_graph
 from repro.mining.dfs_code import DFSCode
 from repro.mining.embeddings import Embedding, dedupe_by_node_set

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.dfg.graph import DFG
 
@@ -165,12 +165,10 @@ class DgSpan:
         #: Optional streaming sink; when set, frequent fragments are
         #: passed here instead of being accumulated in a list.
         self.on_fragment = None
-        #: Optional ``time.monotonic()`` deadline; the search unwinds
-        #: cleanly when it passes (partial results remain valid — every
-        #: reported fragment was genuinely frequent).  The active run
-        #: governor is consulted alongside it, so an interrupt or a
-        #: governor-level budget unwinds through the same clean path.
-        self.deadline = None
+        #: The active run governor is polled at every lattice node; on a
+        #: spent budget or an interrupt the search unwinds cleanly
+        #: (partial results remain valid — every reported fragment was
+        #: genuinely frequent) and sets ``deadline_hit``.
         self.deadline_hit = False
         self._governor = _governor.current()
 
@@ -237,8 +235,8 @@ class DgSpan:
         # benefit floor early), then by embedding count.  Single-graph
         # seeds — e.g. the inside of one giant unrolled block, where
         # embeddings overlap heavily and extraction rarely pays — are
-        # visited last, under an already-high floor and, when a deadline
-        # is set, only with leftover budget.  Canonical-form
+        # visited last, under an already-high floor and, when the run
+        # governor has a budget, only with leftover budget.  Canonical-form
         # deduplication makes the result set independent of sibling
         # order.
         def seed_order(tup):
@@ -283,8 +281,6 @@ class DgSpan:
         results: List[Fragment],
     ) -> None:
         fault("mine.search")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _DeadlineReached
         if self._governor.should_stop():
             raise _DeadlineReached
         if len(embeddings) > self.max_embeddings:

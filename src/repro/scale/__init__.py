@@ -52,7 +52,6 @@ from repro.scale.shard import (
     revive_candidates,
 )
 from repro.scale.supervise import (
-    DEFAULT_SHARD_RETRIES,
     ShardAttempt,
     SuperviseOutcome,
     mine_serial,
@@ -60,7 +59,6 @@ from repro.scale.supervise import (
 )
 
 __all__ = [
-    "DEFAULT_SHARD_RETRIES",
     "CACHE_SCHEMA",
     "CacheStats",
     "DeltaPlan",

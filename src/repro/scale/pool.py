@@ -87,7 +87,6 @@ from repro.scale.shard import (
     revive_candidates,
 )
 from repro.scale.supervise import (
-    DEFAULT_SHARD_RETRIES,
     SuperviseOutcome,
     mine_serial,
     supervise_mine,
@@ -204,22 +203,20 @@ def run_sharded_round(
         lost: List[int] = []
         torn_down = False
         sup: Optional[SuperviseOutcome] = None
-        retry_budget = getattr(config, "shard_retries",
-                               DEFAULT_SHARD_RETRIES)
         if to_mine:
             fault("scale.pool")
             with _TELEMETRY.span("scale.mine", shards=len(to_mine)):
                 if workers <= 1:
                     sup = mine_serial(to_mine, governor, bus,
                                       capture_telemetry,
-                                      retries=retry_budget,
+                                      retries=config.shard_retries,
                                       capture_ledger=capture_ledger)
                 else:
                     sup = supervise_mine(
                         to_mine, workers, governor, bus,
                         capture_telemetry,
-                        retries=retry_budget,
-                        timeout=getattr(config, "shard_timeout", None),
+                        retries=config.shard_retries,
+                        timeout=config.shard_timeout,
                         capture_ledger=capture_ledger,
                     )
                 results.update(sup.completed)
@@ -375,14 +372,14 @@ def run_sharded_round(
             # strictness, in which case the round rolls back and the
             # failure surfaces as a documented exit code
             governor.note("shards_quarantined")
-            if getattr(config, "strict_shards", False):
+            if config.strict_shards:
                 assert sup is not None
                 detail = "; ".join(
                     f"shard {q['shard']}: {q['error']}"
                     for q in sup.dropped)
                 raise ShardError(
                     f"{stats.shards_quarantined} shard(s) quarantined "
-                    f"after {retry_budget} retr"
-                    f"{'y' if retry_budget == 1 else 'ies'} and the "
+                    f"after {config.shard_retries} retr"
+                    f"{'y' if config.shard_retries == 1 else 'ies'} and the "
                     f"serial fallback ({detail})")
     return merged, stats

@@ -85,10 +85,6 @@ from repro.telemetry import remote as _remote
 from repro.scale.cluster import Shard
 from repro.scale.shard import ShardPayload, ShardResult, mine_shard
 
-#: Default redeliveries per shard before the serial fallback
-#: (``--shard-retries``).
-DEFAULT_SHARD_RETRIES = 2
-
 #: Adaptive poll interval bounds for the supervisor wait loop: start at
 #: 1 ms, double on idle ticks up to 50 ms, reset on any progress.
 POLL_MIN = 0.001
@@ -309,7 +305,8 @@ def supervise_mine(
     governor: RunGovernor,
     bus=None,
     capture_telemetry: bool = False,
-    retries: int = DEFAULT_SHARD_RETRIES,
+    *,
+    retries: int,
     timeout: Optional[float] = None,
     capture_ledger: bool = False,
 ) -> SuperviseOutcome:
@@ -535,7 +532,8 @@ def mine_serial(
     governor: RunGovernor,
     bus=None,
     capture_telemetry: bool = False,
-    retries: int = DEFAULT_SHARD_RETRIES,
+    *,
+    retries: int,
     capture_ledger: bool = False,
 ) -> SuperviseOutcome:
     """The ``workers <= 1`` path: same retry/quarantine state machine,
@@ -598,7 +596,6 @@ def mine_serial(
 __all__ = [
     "BACKOFF_BASE",
     "BACKOFF_CAP",
-    "DEFAULT_SHARD_RETRIES",
     "POLL_MAX",
     "POLL_MIN",
     "ShardAttempt",

@@ -22,7 +22,7 @@ follow the block-splitting contract of :mod:`repro.binary.blocks`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.binary.program import BasicBlock, Module
 
@@ -49,7 +49,7 @@ class ModuleCFG:
         """Blocks with no successors (returns, exits, dead tails)."""
         return [key for key in self.keys if not self.succ[key]]
 
-    def reachable(self, roots: List[BlockKey] = None) -> Set[BlockKey]:
+    def reachable(self, roots: Optional[List[BlockKey]] = None) -> Set[BlockKey]:
         """Blocks reachable from *roots* (default: all function entries)."""
         stack = list(self.entries if roots is None else roots)
         seen: Set[BlockKey] = set(stack)

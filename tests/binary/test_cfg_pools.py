@@ -1,8 +1,5 @@
-"""Control-flow graphs and literal-pool helpers."""
+"""Literal-pool helpers."""
 
-import networkx as nx
-
-from repro.binary.cfg import block_successors, build_cfg, reachable_blocks
 from repro.binary.pools import (
     PoolPlan,
     pc_relative_target,
@@ -11,89 +8,6 @@ from repro.binary.pools import (
 )
 from repro.isa.assembler import parse_instruction
 from repro.isa.operands import LabelRef
-
-from tests.conftest import module_from_source
-
-
-def test_cfg_loop_shape():
-    module = module_from_source(
-        """
-        _start:
-            mov r0, #0
-        loop:
-            add r0, r0, #1
-            cmp r0, #5
-            blt loop
-            swi #0
-        """
-    )
-    func = module.functions[0]
-    graph = build_cfg(func)
-    assert graph.has_edge(0, 1)          # fallthrough into loop
-    assert graph.has_edge(1, 1)          # back edge
-    assert graph.has_edge(1, 2)          # exit
-    assert graph.edges[1, 1]["kind"] == "cond"
-
-
-def test_cfg_external_branch():
-    module = module_from_source(
-        """
-        _start:
-            b elsewhere
-        f:
-            swi #0
-        elsewhere:
-            swi #0
-        """
-    )
-    graph = build_cfg(module.functions[0])
-    # 'elsewhere' lives in the same function here; build a real external:
-    module2 = module_from_source(
-        """
-        _start:
-            bl f
-            swi #0
-        f:
-            b shared
-        shared:
-            mov pc, lr
-        """
-    )
-    # shared is a branch target -> same function as f
-    g2 = build_cfg(module2.function("f"))
-    assert g2.number_of_nodes() >= 2
-
-
-def test_reachable_blocks():
-    module = module_from_source(
-        """
-        _start:
-            b skip
-            mov r0, #1
-        skip:
-            swi #0
-        """
-    )
-    func = module.functions[0]
-    reached = reachable_blocks(func)
-    assert 0 in reached and 2 in reached
-    assert 1 not in reached  # dead block
-
-
-def test_block_successors_map():
-    module = module_from_source(
-        """
-        _start:
-            cmp r0, #0
-            beq out
-            mov r0, #1
-        out:
-            swi #0
-        """
-    )
-    succ = block_successors(module.functions[0])
-    assert set(succ[0]) == {1, 2}
-    assert succ[1] == [2]
 
 
 class TestPools:

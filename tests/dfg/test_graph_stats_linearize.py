@@ -40,26 +40,9 @@ class TestDFGContainer:
             DFG(labels=["a", "b"], insns=[None, None],
                 edges={(0, 1, "d")}, dep_edges=set())
 
-    def test_adjacency(self):
-        dfg = mk_dfg("abc", [(0, 1, "d"), (0, 2, "m")])
-        assert dfg.successors(0) == [(1, "d"), (2, "m")]
-        assert dfg.predecessors(2) == [(0, "m")]
-        assert dfg.predecessors(0) == []
-
     def test_induced_edges(self):
         dfg = mk_dfg("abcd", [(0, 1, "d"), (1, 2, "d"), (2, 3, "d")])
         assert dfg.induced_dep_edges([0, 1, 3]) == {(0, 1, "d")}
-
-    def test_degrees(self):
-        dfg = mk_dfg("abc", [(0, 1, "d"), (0, 2, "d")])
-        assert dfg.out_degree(0) == 2
-        assert dfg.in_degree(1) == 1
-
-    def test_networkx_export(self):
-        dfg = mk_dfg("ab", [(0, 1, "d")])
-        graph = dfg.to_networkx()
-        assert graph.number_of_nodes() == 2
-        assert graph.number_of_edges() == 1
 
 
 class TestStats:

@@ -6,6 +6,8 @@ reached by plain ``b`` stays a *block* of the surrounding function —
 which is exactly how cross-function tail edges arise.
 """
 
+import pytest
+
 from repro.verify.cfg import build_module_cfg
 
 from tests.conftest import module_from_source
@@ -154,3 +156,52 @@ def test_entries_and_labels():
     cfg = build_module_cfg(module)
     assert cfg.entries == [("_start", 0), ("f", 0)]
     assert cfg.label_to_block["f"] == ("f", 0)
+
+
+@pytest.mark.parametrize("source, succ, dead", [
+    pytest.param(
+        """
+        _start:
+            mov r0, #0
+        loop:
+            add r0, r0, #1
+            cmp r0, #5
+            blt loop
+            swi #0
+        """,
+        {0: {1}, 1: {1, 2}, 2: set()}, set(),
+        id="loop-back-edge-and-exit",
+    ),
+    pytest.param(
+        """
+        _start:
+            cmp r0, #0
+            beq out
+            mov r0, #1
+        out:
+            swi #0
+        """,
+        {0: {1, 2}, 1: {2}, 2: set()}, set(),
+        id="conditional-two-successors",
+    ),
+    pytest.param(
+        """
+        _start:
+            b skip
+            mov r0, #1
+        skip:
+            swi #0
+        """,
+        {0: {2}, 1: {2}, 2: set()}, {1},
+        id="dead-block-unreachable",
+    ),
+])
+def test_single_function_shapes(source, succ, dead):
+    """Successors of every block and the blocks reachable() misses."""
+    cfg = build_module_cfg(module_from_source(source))
+    assert cfg.keys == [("_start", bi) for bi in sorted(succ)]
+    assert {
+        bi: {target for __, target in cfg.succ[("_start", bi)]}
+        for bi in succ
+    } == succ
+    assert {bi for __, bi in set(cfg.keys) - cfg.reachable()} == dead
