@@ -54,16 +54,12 @@ content-addressed shard cache across runs).  The output is
 bit-identical for every worker count and every cache state — only
 wall-clock changes.
 
-Observability (see :mod:`repro.telemetry`): the same three commands
-accept ``--progress`` (a live one-line status on stderr),
-``--events-out FILE`` (a JSONL stream of progress events, schema
-``repro.telemetry.events/1``) and ``--metrics-out FILE`` (an
-OpenMetrics/Prometheus-textfile snapshot of the run's counters,
-histograms and per-shard mining timings).  With ``--workers`` the
+Observability (see :mod:`repro.telemetry`): with ``--workers`` the
 ``--trace-out`` Chrome trace stitches every worker process's spans in
-under named process rows.  All of it is off by default and none of it
-changes results: the observability flags are load-bearing-free by
-construction (see the bit-identity tests).
+under named process rows, and ``profile`` prints a per-shard mining
+imbalance table.  All of it is off by default and none of it changes
+results: the observability flags are load-bearing-free by construction
+(see the bit-identity tests).
 
 Resilience (see ``src/repro/resilience/``): ``pa --checkpoint FILE``
 rewrites a crash-safe resume file after every committed round and
@@ -79,7 +75,6 @@ to re-raise).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -87,8 +82,6 @@ import time
 from typing import Optional
 
 from repro import telemetry
-from repro.telemetry import progress as telemetry_progress
-from repro.telemetry.openmetrics import SHARD_TIMING_EVENT
 from repro.analysis.tables import Table1Row, format_table1, format_table2
 from repro.report import ledger
 from repro.report.explain import explain_round, explain_run
@@ -117,6 +110,7 @@ from repro.resilience.checkpoint import (
     module_from_checkpoint,
 )
 from repro.resilience.errors import EXIT_INTERNAL, EXIT_INTERRUPT, ReproError
+from repro.scale.pool import SHARD_TIMING_EVENT
 from repro.sim.machine import run_image
 from repro.sim.sanitize import Sanitizer, counterexample_kinds
 from repro.variance.genprog import GenConfig, generate_source, sized_config
@@ -157,7 +151,7 @@ def _load_source(source: str, assembly: bool) -> Module:
 # ----------------------------------------------------------------------
 #: args attributes that name output files (checked before the run)
 _OUTPUT_ATTRS = ("trace_out", "stats_out", "json", "report", "ledger_out",
-                 "events_out", "metrics_out", "output", "image_out")
+                 "output", "image_out")
 
 
 def _add_telemetry_args(parser) -> None:
@@ -170,22 +164,6 @@ def _add_telemetry_args(parser) -> None:
     parser.add_argument(
         "--stats-out", metavar="FILE",
         help="write counters/histograms/span summaries as JSON",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write the run's counters/histograms/per-shard timings in "
-             "the OpenMetrics text format (Prometheus textfile "
-             "collector)",
-    )
-    parser.add_argument(
-        "--events-out", metavar="FILE",
-        help="stream live progress events as JSONL (schema "
-             f"{telemetry.EVENTS_SCHEMA})",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="live one-line status on stderr (rounds, shards, cache "
-             "hits, savings)",
     )
     parser.add_argument(
         "--force", action="store_true",
@@ -270,8 +248,7 @@ def _telemetry_begin(args, force: bool = False) -> bool:
     _check_output_paths(args)
     wanted = force or any(
         getattr(args, name, None)
-        for name in ("trace_out", "stats_out", "json", "report",
-                     "metrics_out")
+        for name in ("trace_out", "stats_out", "json", "report")
     )
     if wanted:
         telemetry.reset()
@@ -315,41 +292,7 @@ def _telemetry_finish(args) -> None:
                  getattr(args, "json", None)} - {None}:
         telemetry.write_stats(registry, path)
         print(f"wrote {path}", file=sys.stderr)
-    if getattr(args, "metrics_out", None):
-        # a failed metrics export must never cost the primary outputs
-        # that were already written above — warn and move on
-        try:
-            faultinject.fault("scale.metrics")
-            telemetry.write_openmetrics(registry, args.metrics_out)
-            print(f"wrote {args.metrics_out}", file=sys.stderr)
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            print(f"warning: metrics export failed ({exc})",
-                  file=sys.stderr)
     telemetry.disable()
-
-
-@contextlib.contextmanager
-def _progress_scope(args):
-    """Route run progress onto a live bus when ``--progress`` or
-    ``--events-out`` ask for one; a no-op scope otherwise."""
-    wants_tty = bool(getattr(args, "progress", False))
-    events_path = getattr(args, "events_out", None)
-    if not wants_tty and not events_path:
-        yield None
-        return
-    bus = telemetry_progress.ProgressBus(
-        tty=sys.stderr if wants_tty else None,
-        events_path=events_path,
-    )
-    try:
-        with telemetry_progress.activate(bus):
-            yield bus
-    finally:
-        bus.close()
-        if events_path and not bus.broken:
-            print(f"wrote {events_path}", file=sys.stderr)
 
 
 def _shard_imbalance_table(registry) -> str:
@@ -387,9 +330,6 @@ def _shard_imbalance_table(registry) -> str:
     ratio = (peak / mean) if mean else 0.0
     summary = (f"imbalance: max/mean = {ratio:.2f}x "
                f"over {len(seconds)} shards")
-    stalled = registry.counter_value("scale.shards.stalled")
-    if stalled:
-        summary += f", {stalled} flagged stalled"
     retries = registry.counter_value("scale.shard.retries")
     if retries:
         summary += f", {retries} redeliveries"
@@ -503,8 +443,7 @@ def cmd_pa(args) -> int:
                           sanitizer=ref_sanitizer)
     before = module.num_instructions
     try:
-        with _progress_scope(args), \
-                ledger.GLOBAL.context(source=args.source):
+        with ledger.GLOBAL.context(source=args.source):
             if args.engine == "sfx":
                 result = run_sfx(module, SFXConfig(max_len=args.max_nodes))
             else:
@@ -566,10 +505,6 @@ def cmd_pa(args) -> int:
               f"cache {result.cache_hits} hits / "
               f"{result.cache_misses} misses, "
               f"{result.lattice_nodes_reused} lattice nodes reused",
-              file=sys.stderr)
-    if getattr(result, "stragglers", 0):
-        print(f"note: {result.stragglers} shard(s) went quiet past the "
-              "straggler watchdog threshold (see shard.stalled events)",
               file=sys.stderr)
     if getattr(result, "shards_retried", 0):
         print(f"note: {result.shards_retried} shard(s) needed "
@@ -683,53 +618,52 @@ def cmd_lint(args) -> int:
 def cmd_table1(args) -> int:
     traced = _telemetry_begin(args)
     rows = []
-    with _progress_scope(args):
-        for name in args.programs or sorted(PROGRAMS):
-            base = compile_workload(name).num_instructions
-            saved = {}
-            for engine in ("sfx", "dgspan", "edgar"):
-                module = compile_workload(name)
-                started = time.perf_counter()
-                with telemetry.span("table1.cell", workload=name,
-                                    engine=engine):
-                    if engine == "sfx":
-                        result = run_sfx(module)
-                    else:
-                        config = PAConfig(
-                            miner=engine, time_budget=args.time_budget,
-                            workers=args.workers or 1,
-                            fragment_cache=args.fragment_cache)
-                        _apply_shard_policy(config, args)
-                        result = run_pa(module, config)
-                verify_workload(name, module)
-                saved[engine] = base - module.num_instructions
-                elapsed = time.perf_counter() - started
-                telemetry.event(
-                    "table1.row",
-                    program=name,
-                    engine=engine,
-                    instructions=base,
-                    saved=saved[engine],
-                    seconds=elapsed,
-                    degraded=bool(getattr(result, "degraded", False)),
-                    deadline_hits=getattr(result, "deadline_hits", 0),
-                    mis_budget_exhausted=getattr(
-                        result, "mis_budget_exhausted", 0),
-                    workers=getattr(result, "workers", 0),
-                    shards=getattr(result, "shards", 0),
-                    cache_hits=getattr(result, "cache_hits", 0),
-                    lattice_nodes_reused=getattr(
-                        result, "lattice_nodes_reused", 0),
-                    shards_retried=getattr(
-                        result, "shards_retried", 0),
-                    shards_quarantined=getattr(
-                        result, "shards_quarantined", 0),
-                )
-                print(f"  {name}/{engine}: saved {saved[engine]} "
-                      f"({elapsed:.1f}s)",
-                      file=sys.stderr)
-            rows.append(Table1Row(name, base, saved["sfx"],
-                                  saved["dgspan"], saved["edgar"]))
+    for name in args.programs or sorted(PROGRAMS):
+        base = compile_workload(name).num_instructions
+        saved = {}
+        for engine in ("sfx", "dgspan", "edgar"):
+            module = compile_workload(name)
+            started = time.perf_counter()
+            with telemetry.span("table1.cell", workload=name,
+                                engine=engine):
+                if engine == "sfx":
+                    result = run_sfx(module)
+                else:
+                    config = PAConfig(
+                        miner=engine, time_budget=args.time_budget,
+                        workers=args.workers or 1,
+                        fragment_cache=args.fragment_cache)
+                    _apply_shard_policy(config, args)
+                    result = run_pa(module, config)
+            verify_workload(name, module)
+            saved[engine] = base - module.num_instructions
+            elapsed = time.perf_counter() - started
+            telemetry.event(
+                "table1.row",
+                program=name,
+                engine=engine,
+                instructions=base,
+                saved=saved[engine],
+                seconds=elapsed,
+                degraded=bool(getattr(result, "degraded", False)),
+                deadline_hits=getattr(result, "deadline_hits", 0),
+                mis_budget_exhausted=getattr(
+                    result, "mis_budget_exhausted", 0),
+                workers=getattr(result, "workers", 0),
+                shards=getattr(result, "shards", 0),
+                cache_hits=getattr(result, "cache_hits", 0),
+                lattice_nodes_reused=getattr(
+                    result, "lattice_nodes_reused", 0),
+                shards_retried=getattr(
+                    result, "shards_retried", 0),
+                shards_quarantined=getattr(
+                    result, "shards_quarantined", 0),
+            )
+            print(f"  {name}/{engine}: saved {saved[engine]} "
+                  f"({elapsed:.1f}s)",
+                  file=sys.stderr)
+        rows.append(Table1Row(name, base, saved["sfx"],
+                              saved["dgspan"], saved["edgar"]))
     print(format_table1(rows))
     if traced:
         _telemetry_finish(args)
@@ -744,20 +678,19 @@ def cmd_profile(args) -> int:
     _telemetry_begin(args, force=True)
     module = _load_source(args.source, args.assembly)
     before = module.num_instructions
-    with _progress_scope(args):
-        if args.engine == "sfx":
-            result = run_sfx(module, SFXConfig(max_len=args.max_nodes))
-        else:
-            config = PAConfig(
-                miner=args.engine,
-                max_nodes=args.max_nodes,
-                time_budget=args.time_budget,
-                verify=args.verify,
-                workers=args.workers or 1,
-                fragment_cache=args.fragment_cache,
-            )
-            _apply_shard_policy(config, args)
-            result = run_pa(module, config)
+    if args.engine == "sfx":
+        result = run_sfx(module, SFXConfig(max_len=args.max_nodes))
+    else:
+        config = PAConfig(
+            miner=args.engine,
+            max_nodes=args.max_nodes,
+            time_budget=args.time_budget,
+            verify=args.verify,
+            workers=args.workers or 1,
+            fragment_cache=args.fragment_cache,
+        )
+        _apply_shard_policy(config, args)
+        result = run_pa(module, config)
     registry = telemetry.get()
     print(f"{args.source}/{args.engine}: {before} -> "
           f"{module.num_instructions} instructions "

@@ -7,12 +7,18 @@ FLAGS pseudo-register (NZCV) and a single conservative MEM location:
 ========  =========================================================
 kind      meaning
 ========  =========================================================
-``d``     register read-after-write (true data flow; mined)
-``m``     memory read-after-write, store -> load (mined)
-``f``     flag read-after-write, e.g. ``cmp`` -> ``bge`` (mined)
-``a``     anti-dependence, read -> next write (legality only)
-``o``     output dependence, write -> next write (legality only)
+``d``     register read-after-write (true data flow)
+``m``     memory read-after-write, store -> load
+``f``     flag read-after-write, e.g. ``cmp`` -> ``bge``
+``a``     anti-dependence, read -> next write
+``o``     output dependence, write -> next write
 ========  =========================================================
+
+All five kinds are mined by default (:data:`~repro.dfg.graph.MINED_KINDS`),
+because the Fig. 9 legality check runs on the mined graph and is only
+sound when it carries every dependence.  Only the data-flow pass
+(:data:`~repro.dfg.graph.FLOW_KINDS`) mines without ``a``/``o``; its
+blocks keep them in ``dep_edges`` for legality.
 
 Calls (``bl``) and software interrupts are conservative barriers: they
 read and write the argument registers per the calling convention (see

@@ -9,7 +9,7 @@ reproduction) does not implement; what we provide is the *measurement*:
 mine the canonically-relabelled DFG database and report how much
 additional non-overlapping duplication becomes visible — the upper bound
 on what fuzzy matching could save (benched in
-``benchmarks/test_ablation_canonical.py``).
+``benchmarks/test_ablations.py``).
 """
 
 from __future__ import annotations

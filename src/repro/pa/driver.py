@@ -24,7 +24,6 @@ from repro.resilience import checkpoint as _ckpt
 from repro.resilience.faultinject import fault
 from repro.resilience.governor import RunGovernor, activate
 from repro.telemetry import GLOBAL as _TELEMETRY
-from repro.telemetry import progress as _progress
 
 from repro.pa.extract import extract_call, extract_crossjump
 from repro.pa.fragments import Candidate
@@ -160,8 +159,6 @@ class PAResult:
     cache_misses: int = 0
     #: lattice nodes served from the fragment cache instead of re-mined
     lattice_nodes_reused: int = 0
-    #: shards the progress watchdog flagged for stale heartbeats
-    stragglers: int = 0
     #: distinct shards that needed more than one delivery (worker
     #: death, soft timeout or a failed attempt; see repro.scale.supervise)
     shards_retried: int = 0
@@ -395,13 +392,6 @@ def run_pa(module: Module, config: Optional[PAConfig] = None,
             elapsed_seconds=round(result.elapsed_seconds, 6),
             dropped=dict(_LEDGER.dropped),
         )
-    _progress.publish(
-        "run.done",
-        saved=result.saved,
-        rounds=result.rounds,
-        instructions=result.instructions_after,
-        degraded=result.degraded,
-    )
     return result
 
 
@@ -414,15 +404,13 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         instructions_after=module.num_instructions,
     )
     blocklist: Set[str] = set()
-    # one cache + delta planner per run: the cache carries shard
-    # results across rounds (and across runs when persistent), the
-    # planner only observes — see repro.scale.pool for invariants.
-    # (Imported here: the repro.scale package imports repro.pa.)
+    # one cache per run: it carries shard results across rounds (and
+    # across runs when persistent) — see repro.scale.pool for
+    # invariants.  (Imported here: the repro.scale package imports
+    # repro.pa.)
     from repro.scale.cache import FragmentCache
-    from repro.scale.delta import DeltaPlanner
 
     cache = FragmentCache(config.fragment_cache)
-    planner = DeltaPlanner()
     result.workers = max(1, config.workers)
     start_round = 0
     if resume is not None:
@@ -462,7 +450,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             outcome = _run_round(
                 module, config, governor, result, round_index,
-                blocklist, state, cache, planner,
+                blocklist, state, cache,
             )
         except KeyboardInterrupt:
             # Anytime semantics: the interrupted round is rolled back
@@ -501,7 +489,7 @@ def _run_pa(module: Module, config: PAConfig, governor: RunGovernor,
 
 def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
                result: PAResult, round_index: int, blocklist: Set[str],
-               state: _ckpt.ModuleState, cache, planner):
+               state: _ckpt.ModuleState, cache):
     """One mining + apply round, with verify-failure recovery.
 
     Returns ``None`` at fixpoint, else the round's extraction records.
@@ -517,7 +505,7 @@ def _run_round(module: Module, config: PAConfig, governor: RunGovernor,
         try:
             return _round_once(
                 module, config, governor, result, round_index,
-                blocklist, applied, cache, planner,
+                blocklist, applied, cache,
             )
         except TranslationValidationError as error:
             _ckpt.restore_state(module, state)
@@ -564,7 +552,7 @@ def _verify_offenders(error: TranslationValidationError,
 
 def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 result: PAResult, round_index: int, blocklist: Set[str],
-                applied: List[Candidate], cache, planner):
+                applied: List[Candidate], cache):
     from repro.scale.pool import run_sharded_round
 
     with _TELEMETRY.span("pa.round", round=round_index), \
@@ -572,21 +560,15 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
         if _LEDGER.enabled:
             _LEDGER.emit("round.begin",
                          instructions=module.num_instructions)
-        _progress.publish(
-            "round.start", round=round_index,
-            instructions=module.num_instructions,
-        )
         mine_started = time.perf_counter()
         with _TELEMETRY.span("pa.collect", round=round_index):
             candidates, scale_stats = run_sharded_round(
-                module, config, governor, cache, planner,
-                frozenset(blocklist),
+                module, config, governor, cache, frozenset(blocklist),
             )
         result.lattice_nodes += scale_stats.lattice_nodes_mined
         result.lattice_nodes_reused += scale_stats.lattice_nodes_reused
         result.shards = max(result.shards, scale_stats.shards)
         result.shards_lost += scale_stats.shards_lost
-        result.stragglers += scale_stats.stragglers
         result.cache_hits += scale_stats.cache_hits
         result.cache_misses += scale_stats.cache_misses
         result.shards_retried += scale_stats.shards_retried
@@ -608,8 +590,6 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                     instructions=module.num_instructions,
                     applied=0, saved=0,
                 )
-            _progress.publish("round.done", round=round_index,
-                              applied=0, saved=0)
             return None
         if not config.batch:
             candidates = candidates[:1]
@@ -637,8 +617,6 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                     instructions=module.num_instructions,
                     applied=0, saved=0,
                 )
-            _progress.publish("round.done", round=round_index,
-                              applied=0, saved=0)
             return None
         if _LEDGER.enabled:
             _LEDGER.emit(
@@ -647,11 +625,6 @@ def _round_once(module: Module, config: PAConfig, governor: RunGovernor,
                 applied=len(records),
                 saved=before_apply - module.num_instructions,
             )
-        _progress.publish(
-            "round.done", round=round_index,
-            applied=len(records),
-            saved=before_apply - module.num_instructions,
-        )
         for record in records:
             record.round = round_index
         if _TELEMETRY.enabled:

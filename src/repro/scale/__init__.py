@@ -5,7 +5,10 @@ from scratch, although an extraction only rewrites a handful of blocks
 and identical blocks recur both across rounds and across runs.  This
 subsystem is the abstraction loop's one mining engine; it makes mining
 *sharded*, *parallel*, *incremental* and *cached* while keeping the
-output bit-identical for any worker count and any cache state:
+output bit-identical for any worker count and any cache state.  Being
+incremental falls out of the cache: a shard whose payload digest did
+not change since the last round is a cache hit, so only the shards
+holding a rewritten block are mined again.
 
 :mod:`repro.scale.cluster`
     Pre-clustering: blocks partition into shards (connected components
@@ -32,16 +35,10 @@ output bit-identical for any worker count and any cache state:
     The content-addressed fragment cache: shard results keyed by a
     canonical content digest, held in memory across rounds and
     (optionally) on disk across runs.
-:mod:`repro.scale.delta`
-    The incremental re-mining planner: after an extraction touches a
-    few blocks, only the shards containing rewritten blocks are
-    predicted dirty; every other shard's lattice is reused verbatim
-    through the cache.
 """
 
 from repro.scale.cache import CACHE_SCHEMA, CacheStats, FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs, edge_signatures
-from repro.scale.delta import DeltaPlan, DeltaPlanner
 from repro.scale.pool import ScaleStats, run_sharded_round
 from repro.scale.shard import (
     SHARD_SCHEMA,
@@ -61,8 +58,6 @@ from repro.scale.supervise import (
 __all__ = [
     "CACHE_SCHEMA",
     "CacheStats",
-    "DeltaPlan",
-    "DeltaPlanner",
     "FragmentCache",
     "SHARD_SCHEMA",
     "ScaleStats",

@@ -30,10 +30,7 @@ Determinism invariants (the bit-identity gate relies on these):
   scope (suppressed when the ledger is off), the parent replays them
   in shard order, and it emits the per-round ``mine.skips``/``prune``
   aggregates from the merged tallies — which cached shards carry too,
-  so those aggregates are also cache-temperature-independent.  Progress
-  events (:mod:`repro.telemetry.progress`) flow from workers over a
-  queue handed through the pool initializer and are drained in the
-  parent's poll loop, which doubles as the straggler watchdog.
+  so those aggregates are also cache-temperature-independent.
 
 Fault tolerance: shard expansion runs on the supervised executor
 (:mod:`repro.scale.supervise`) — tracked worker processes with
@@ -72,12 +69,10 @@ from repro.resilience.errors import ShardError
 from repro.resilience.faultinject import fault
 from repro.resilience.governor import RunGovernor
 from repro.telemetry import GLOBAL as _TELEMETRY
-from repro.telemetry import progress as _progress
 from repro.telemetry import remote as _remote
 
 from repro.scale.cache import FragmentCache
 from repro.scale.cluster import Shard, cluster_dfgs
-from repro.scale.delta import DeltaPlanner
 from repro.scale.shard import (
     FUNNEL_KEYS,
     PRUNE_KEYS,
@@ -91,6 +86,10 @@ from repro.scale.supervise import (
     mine_serial,
     supervise_mine,
 )
+
+#: Telemetry event carrying one mined shard's wall time and size; the
+#: ``profile`` command's per-shard imbalance table reads these.
+SHARD_TIMING_EVENT = "scale.shard.timing"
 
 #: shard tally key -> its telemetry counter name
 _TALLY_COUNTERS = {
@@ -120,12 +119,6 @@ class ScaleStats:
     lattice_nodes_mined: int = 0
     lattice_nodes_reused: int = 0
     deadline_hits: int = 0
-    delta_clean: int = 0
-    delta_dirty: int = 0
-    #: shards whose heartbeats went stale past the watchdog threshold
-    #: (they may still have completed — stalled flags imbalance, not
-    #: loss)
-    stragglers: int = 0
     #: shard redeliveries (worker death / timeout / failed attempt)
     shard_retries: int = 0
     #: distinct shards that needed more than one delivery
@@ -142,7 +135,6 @@ def run_sharded_round(
     config,
     governor: RunGovernor,
     cache: FragmentCache,
-    planner: Optional[DeltaPlanner] = None,
     blocklist: FrozenSet[str] = frozenset(),
 ) -> Tuple[List[Candidate], ScaleStats]:
     """Mine one round sharded/parallel/cached; return merged candidates.
@@ -156,7 +148,6 @@ def run_sharded_round(
     """
     workers = max(1, config.workers)
     stats = ScaleStats(workers=workers)
-    bus = _progress.active()
     capture_telemetry = _TELEMETRY.enabled
     capture_ledger = _LEDGER.enabled
     with _TELEMETRY.span("scale.round", workers=workers):
@@ -174,10 +165,6 @@ def run_sharded_round(
         ]
         digests = [payload.digest() for payload in payloads]
         stats.shards = len(shards)
-        if planner is not None:
-            plan = planner.plan(digests)
-            stats.delta_clean = len(plan.clean)
-            stats.delta_dirty = len(plan.dirty)
         invalid_before = cache.stats.invalid
         results: Dict[int, ShardResult] = {}
         to_mine: List[Tuple[Shard, ShardPayload, str]] = []
@@ -193,13 +180,6 @@ def run_sharded_round(
         stats.cache_hits = len(results)
         stats.cache_misses = len(to_mine)
         stats.cache_invalid = cache.stats.invalid - invalid_before
-        _progress.publish(
-            "round.shards",
-            shards=stats.shards,
-            cached=stats.cache_hits,
-            to_mine=len(to_mine),
-            workers=workers,
-        )
         lost: List[int] = []
         torn_down = False
         sup: Optional[SuperviseOutcome] = None
@@ -207,14 +187,12 @@ def run_sharded_round(
             fault("scale.pool")
             with _TELEMETRY.span("scale.mine", shards=len(to_mine)):
                 if workers <= 1:
-                    sup = mine_serial(to_mine, governor, bus,
-                                      capture_telemetry,
+                    sup = mine_serial(to_mine, governor, capture_telemetry,
                                       retries=config.shard_retries,
                                       capture_ledger=capture_ledger)
                 else:
                     sup = supervise_mine(
-                        to_mine, workers, governor, bus,
-                        capture_telemetry,
+                        to_mine, workers, governor, capture_telemetry,
                         retries=config.shard_retries,
                         timeout=config.shard_timeout,
                         capture_ledger=capture_ledger,
@@ -222,7 +200,6 @@ def run_sharded_round(
                 results.update(sup.completed)
                 lost = sup.lost
                 torn_down = sup.torn_down
-                stats.stragglers = sup.stragglers
                 stats.shard_retries = sup.retries
                 stats.shards_retried = sup.shards_retried
                 stats.shard_fallbacks = sup.fallbacks
@@ -248,7 +225,7 @@ def run_sharded_round(
                     _TELEMETRY.observe("scale.shard.mine_seconds",
                                        result.mine_seconds)
                     _TELEMETRY.event(
-                        "scale.shard.timing",
+                        SHARD_TIMING_EVENT,
                         shard=shard.index,
                         seconds=round(result.mine_seconds, 6),
                         lattice_nodes=result.lattice_nodes,
@@ -351,9 +328,6 @@ def run_sharded_round(
                 cache_invalid=stats.cache_invalid,
                 lattice_nodes_mined=stats.lattice_nodes_mined,
                 lattice_nodes_reused=stats.lattice_nodes_reused,
-                delta_clean=stats.delta_clean,
-                delta_dirty=stats.delta_dirty,
-                stragglers=stats.stragglers,
                 retries=stats.shard_retries,
                 fallbacks=stats.shard_fallbacks,
                 quarantined=stats.shards_quarantined,

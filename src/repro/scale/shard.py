@@ -44,7 +44,6 @@ from repro.pa.fragments import (
 from repro.pa.legality import ExtractionMethod, legal_embeddings
 from repro.report.ledger import GLOBAL as _LEDGER, Captured
 from repro.telemetry import GLOBAL as _TELEMETRY
-from repro.telemetry import progress as _progress
 
 import hashlib
 import time
@@ -303,8 +302,6 @@ def mine_shard(payload: ShardPayload,
     cache it).
     """
     started = time.perf_counter()
-    _progress.publish("shard.start", shard=payload.shard_index,
-                      blocks=len(payload.block_insns))
     conf = payload.config
     mined_kinds = frozenset(conf.mined_kinds)
     dfgs = [
@@ -328,13 +325,6 @@ def mine_shard(payload: ShardPayload,
 
     def consider(frag) -> None:
         tallies["considered"] += 1
-        _progress.heartbeat(
-            shard=payload.shard_index,
-            considered=tallies["considered"],
-            scored=tallies["scored"],
-            lattice_nodes=miner.visited_nodes,
-            best_benefit=floor(),
-        )
         per_graph: Dict[int, int] = {}
         for emb in frag.embeddings:
             per_graph[emb.graph] = per_graph.get(emb.graph, 0) + 1
@@ -482,14 +472,6 @@ def mine_shard(payload: ShardPayload,
     if capture_ledger:
         result.ledger = captured
         result.provenance = [c.provenance for c in collected]
-    _progress.publish(
-        "shard.done",
-        shard=payload.shard_index,
-        seconds=round(result.mine_seconds, 6),
-        lattice_nodes=result.lattice_nodes,
-        candidates=len(result.candidates),
-        deadline_hit=result.deadline_hit,
-    )
     return result
 
 

@@ -54,12 +54,8 @@ The in-process path (``workers <= 1``) runs the same retry/quarantine
 state machine via :func:`mine_serial` (minus crash/hang directives,
 which only make sense for a child process).
 
-Progress surface: every redelivery publishes a ``shard.retry`` event
-and every quarantine resolution a ``shard.quarantined`` event onto the
-``repro.telemetry.events/1`` stream; the caller turns the outcome's
-counts into ``scale.shard.retries`` / ``scale.shards.quarantined``
-counters (OpenMetrics: ``repro_scale_shard_retries_total`` /
-``repro_scale_shards_quarantined_total``) and ``scale.retry`` /
+The caller turns the outcome's counts into ``scale.shard.retries`` /
+``scale.shards.quarantined`` counters and ``scale.retry`` /
 ``scale.quarantine`` ledger records.
 """
 
@@ -79,7 +75,6 @@ from repro.resilience.errors import FaultInjected
 from repro.resilience.faultinject import disarm_all, fault
 from repro.resilience.governor import RunGovernor
 from repro.telemetry import GLOBAL as _TELEMETRY
-from repro.telemetry import progress as _progress
 from repro.telemetry import remote as _remote
 
 from repro.scale.cluster import Shard
@@ -132,7 +127,6 @@ class SuperviseOutcome:
     #: shards torn down before completing (governor stop mid-round)
     lost: List[int] = field(default_factory=list)
     torn_down: bool = False
-    stragglers: int = 0
     #: total redeliveries (a shard retried twice counts twice)
     retries: int = 0
     #: distinct shards that needed more than one delivery
@@ -151,7 +145,7 @@ class SuperviseOutcome:
         return [q for q in self.quarantined if not q["recovered"]]
 
 
-def _worker_init(progress_queue=None) -> None:
+def _worker_init() -> None:
     """Runs once in every supervised child before it accepts work.
 
     SIGINT is ignored (teardown is the parent's decision); SIGTERM is
@@ -160,17 +154,13 @@ def _worker_init(progress_queue=None) -> None:
     a forked child inherits it, and a child that shrugs off SIGTERM
     would hang the supervisor's join.  Inherited instrumentation
     registries and armed fault specs are cleared so a child neither
-    double-counts nor fires parent-targeted chaos specs.  When the
-    parent runs a progress bus, its queue arrives here and the child's
-    publish hooks are routed onto it.
+    double-counts nor fires parent-targeted chaos specs.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     disarm_all()
     _TELEMETRY.enabled = False
     _LEDGER.enabled = False
-    # also drops any bus inherited from the parent through fork
-    _progress.worker_attach(progress_queue)
 
 
 def _mine_captured(payload: ShardPayload, capture_telemetry: bool,
@@ -194,11 +184,10 @@ def _mine_shard_job(payload: ShardPayload, budget: Optional[float],
         return _mine_captured(payload, capture_telemetry, capture_ledger)
 
 
-def _supervised_worker(conn, progress_queue, capture_telemetry,
-                       capture_ledger) -> None:
+def _supervised_worker(conn, capture_telemetry, capture_ledger) -> None:
     """Child main loop: recv task, mine (or obey a chaos directive),
     send back ``(shard, result, error)``.  ``None`` means shut down."""
-    _worker_init(progress_queue)
+    _worker_init()
     while True:
         try:
             task = conn.recv()
@@ -267,14 +256,12 @@ def _backoff(attempt: int, governor: RunGovernor) -> float:
 class _Worker:
     """One tracked child process with its duplex task pipe."""
 
-    def __init__(self, progress_queue, capture_telemetry: bool,
-                 capture_ledger: bool):
+    def __init__(self, capture_telemetry: bool, capture_ledger: bool):
         parent_conn, child_conn = multiprocessing.Pipe()
         self.conn = parent_conn
         self.process = multiprocessing.Process(
             target=_supervised_worker,
-            args=(child_conn, progress_queue, capture_telemetry,
-                  capture_ledger),
+            args=(child_conn, capture_telemetry, capture_ledger),
             daemon=True,
         )
         self.process.start()
@@ -303,7 +290,6 @@ def supervise_mine(
     to_mine: List[Tuple[Shard, ShardPayload, str]],
     workers: int,
     governor: RunGovernor,
-    bus=None,
     capture_telemetry: bool = False,
     *,
     retries: int,
@@ -315,10 +301,6 @@ def supervise_mine(
     Dispatch order is largest-first (by payload size) for load
     balance; redeliveries queue behind their backoff.  Neither can
     affect results — only which shards finish before a teardown.
-    When a progress *bus* is active its worker queue rides into the
-    children, the wait loop drains it, and stale heartbeats are
-    flagged as stragglers (counted on the governor so degradation
-    notes surface them).
     """
     outcome = SuperviseOutcome()
     order = sorted(
@@ -340,7 +322,6 @@ def supervise_mine(
     poisoned: Set[int] = set()
     #: (shard, failed deliveries, last error) awaiting serial fallback
     exhausted: List[Tuple[int, int, str]] = []
-    queue = bus.worker_queue() if bus is not None else None
     fleet: List[_Worker] = []
     poll = POLL_MIN
 
@@ -354,9 +335,6 @@ def supervise_mine(
             pending.append((time.monotonic() + delay, shard_index))
             outcome.retries += 1
             retried.add(shard_index)
-            _progress.publish("shard.retry", shard=shard_index,
-                              attempt=attempt, error=error,
-                              backoff=round(delay, 3))
         else:
             exhausted.append((shard_index, attempt, error))
 
@@ -371,12 +349,6 @@ def supervise_mine(
 
     try:
         while pending or any(w.shard is not None for w in fleet):
-            if bus is not None:
-                bus.drain()
-                for __ in bus.stragglers():
-                    outcome.stragglers += 1
-                    governor.count("scale.stragglers")
-                    _TELEMETRY.count("scale.shards.stalled")
             if governor.should_stop():
                 outcome.torn_down = True
                 break
@@ -387,8 +359,7 @@ def supervise_mine(
             busy = sum(1 for w in fleet if w.shard is not None)
             target = min(workers, busy + len(pending))
             while len(fleet) < target:
-                fleet.append(_Worker(queue, capture_telemetry,
-                                     capture_ledger))
+                fleet.append(_Worker(capture_telemetry, capture_ledger))
             # dispatch every backoff-ready shard onto an idle worker
             for worker in fleet:
                 if worker.shard is not None:
@@ -490,9 +461,6 @@ def supervise_mine(
                 worker.conn.close()
             except Exception:
                 pass
-        if bus is not None:
-            # events the children flushed before exiting
-            bus.drain()
     # serial fallback: re-mine every exhausted shard in the parent, in
     # deterministic shard order; what still fails is quarantined
     for shard_index, failed, error in sorted(exhausted):
@@ -513,16 +481,11 @@ def supervise_mine(
         except BaseException as exc:  # noqa: B036 - quarantine, not crash
             record["error"] = f"{type(exc).__name__}: {exc}"
             outcome.quarantined.append(record)
-            _progress.publish("shard.quarantined", shard=shard_index,
-                              attempts=record["attempts"],
-                              recovered=False, error=record["error"])
             continue
         record["recovered"] = True
         outcome.completed[shard_index] = result
         outcome.fallbacks += 1
         outcome.quarantined.append(record)
-        _progress.publish("shard.quarantined", shard=shard_index,
-                          attempts=record["attempts"], recovered=True)
     outcome.shards_retried = len(retried)
     return outcome
 
@@ -530,7 +493,6 @@ def supervise_mine(
 def mine_serial(
     to_mine: List[Tuple[Shard, ShardPayload, str]],
     governor: RunGovernor,
-    bus=None,
     capture_telemetry: bool = False,
     *,
     retries: int,
@@ -572,23 +534,12 @@ def mine_serial(
             if will_retry:
                 outcome.retries += 1
                 retried.add(shard.index)
-                _progress.publish("shard.retry", shard=shard.index,
-                                  attempt=attempt, error=error,
-                                  backoff=0.0)
                 continue
             outcome.quarantined.append({
                 "shard": shard.index, "attempts": attempt,
                 "error": error, "recovered": False,
             })
-            _progress.publish("shard.quarantined", shard=shard.index,
-                              attempts=attempt, recovered=False,
-                              error=error)
             break
-        if bus is not None:
-            for __beat in bus.stragglers():
-                outcome.stragglers += 1
-                governor.count("scale.stragglers")
-                _TELEMETRY.count("scale.shards.stalled")
     outcome.shards_retried = len(retried)
     return outcome
 

@@ -6,7 +6,9 @@ reports to a process-global registry through the module-level helpers
 default and all helpers are near-free while disabled.  See
 :mod:`repro.telemetry.core` for the design notes and
 :mod:`repro.telemetry.export` for the Chrome-trace / stats-JSON /
-tree-summary output formats.
+tree-summary output formats and :mod:`repro.telemetry.remote` for
+the capture/merge that stitches worker-process telemetry into the
+parent's registry.
 """
 
 from repro.telemetry.core import (
@@ -35,11 +37,6 @@ from repro.telemetry.export import (
     write_stats,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram
-from repro.telemetry.openmetrics import (
-    openmetrics_text,
-    write_openmetrics,
-)
-from repro.telemetry.progress import EVENTS_SCHEMA, ProgressBus
 from repro.telemetry.remote import (
     SNAPSHOT_SCHEMA,
     capture,
@@ -66,9 +63,7 @@ __all__ = [
     "observe",
     "event",
     "STATS_SCHEMA",
-    "EVENTS_SCHEMA",
     "SNAPSHOT_SCHEMA",
-    "ProgressBus",
     "capture",
     "merge_snapshot",
     "snapshot",
@@ -78,6 +73,4 @@ __all__ = [
     "counters_summary",
     "write_chrome_trace",
     "write_stats",
-    "openmetrics_text",
-    "write_openmetrics",
 ]

@@ -1,7 +1,13 @@
 """The fault-injection harness: arming, firing, and — critically —
-being provably inert when disarmed."""
+being provably inert when disarmed — and the fault-point catalogue
+matching the probe sites in the source."""
+
+import ast
+import pathlib
 
 import pytest
+
+import repro
 
 from repro.resilience import faultinject
 from repro.resilience.errors import FaultInjected
@@ -113,3 +119,46 @@ def shared_module_pair():
         module_from_source(SHARED_FRAGMENT_PROGRAM),
         module_from_source(SHARED_FRAGMENT_PROGRAM),
     )
+
+
+def _probe_literals():
+    """Every fault-point name probed in ``src/repro``, with its site.
+
+    A probe is a ``fault("name")`` call (bare or as an attribute) or the
+    first element of a ``(point, directive)`` pair in a module-level
+    ``*_FAULT_DIRECTIVES`` table, which the supervised executor probes
+    per shard dispatch.  ``faultinject.py`` itself only declares."""
+    root = pathlib.Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "faultinject.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if (name == "fault" and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    found.append((node.args[0].value,
+                                  f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+                if not any(t.endswith("_FAULT_DIRECTIVES") for t in targets):
+                    continue
+                for pair in node.value.elts:
+                    found.append((pair.elts[0].value,
+                                  f"{path.name}:{pair.lineno}"))
+    return found
+
+
+def test_every_catalogued_point_has_a_probe_site():
+    probed = {point for point, __ in _probe_literals()}
+    assert sorted(FAULT_POINTS - probed) == []
+
+
+def test_every_probed_point_is_catalogued():
+    unknown = [(point, site) for point, site in _probe_literals()
+               if point not in FAULT_POINTS]
+    assert unknown == []

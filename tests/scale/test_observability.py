@@ -1,18 +1,14 @@
 """Observability of the sharded engine, end to end: cross-process
-trace stitching, worker-count instrumentation parity, progress-bus
-integration, graceful chaos degradation, and the disabled-inert
-bit-identity guard (observability off => byte-identical output)."""
+trace stitching, worker-count instrumentation parity, the cache census,
+and the bit-identity guard (telemetry on => byte-identical output)."""
 
-import json
 import os
 
 import pytest
 
 from repro import telemetry
 from repro.pa.driver import PAConfig, run_pa
-from repro.resilience import faultinject
-from repro.telemetry import chrome_trace, progress
-from repro.telemetry.progress import EVENTS_SCHEMA, ProgressBus
+from repro.telemetry import chrome_trace
 from repro.workloads import PROGRAMS, compile_workload
 
 
@@ -93,49 +89,6 @@ class TestInstrumentationParity:
         assert tallies[1][1] == tallies[2][1]
 
 
-class TestProgressIntegration:
-    def test_run_streams_events(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        bus = ProgressBus(events_path=str(path))
-        with progress.activate(bus):
-            __, result = run_crc(workers=2)
-        bus.close()
-        assert result.saved > 0
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["kind"] == "stream.begin"
-        assert lines[0]["schema"] == EVENTS_SCHEMA
-        kinds = {l["kind"] for l in lines}
-        assert {"round.start", "round.shards", "shard.start",
-                "shard.done", "round.done", "run.done"} <= kinds
-        worker_pids = {
-            l["pid"] for l in lines if l["kind"] == "shard.done"
-        }
-        assert worker_pids - {os.getpid()}, \
-            "shard events must come from worker processes"
-
-    def test_broken_bus_never_breaks_the_run(self, tmp_path, capsys):
-        faultinject.arm("scale.progress:raise")
-        bus = ProgressBus(events_path=str(tmp_path / "events.jsonl"))
-        with progress.activate(bus):
-            __, result = run_crc(workers=2)
-        bus.close()
-        assert bus.broken
-        assert result.saved > 0
-        assert not result.degraded
-        assert "progress stream disabled" in capsys.readouterr().err
-
-    def test_stragglers_surface_on_result(self, tmp_path):
-        bus = ProgressBus(events_path=str(tmp_path / "e.jsonl"),
-                          stall_after=0.0)
-        with progress.activate(bus):
-            __, result = run_crc(workers=2)
-        bus.close()
-        # with a zero threshold every in-flight shard trips the
-        # watchdog at least once — and the run still completes
-        assert result.stragglers > 0
-        assert result.saved > 0
-
-
 class TestCacheCensus:
     def test_census_lands_on_result_and_counters(self, registry):
         __, result = run_crc(workers=1)
@@ -148,8 +101,8 @@ class TestCacheCensus:
 
 
 class TestDisabledInert:
-    """The bit-identity guard of ISSUE 8: every observability feature
-    off => byte-identical modules on all bundled workloads."""
+    """The bit-identity guard: a run with telemetry recording is
+    byte-identical to a plain one on every bundled workload."""
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_observability_never_changes_output(self, name):
@@ -158,13 +111,10 @@ class TestDisabledInert:
 
         telemetry.reset()
         telemetry.enable()
-        bus = ProgressBus()
         try:
-            with progress.activate(bus):
-                observed = compile_workload(name)
-                run_pa(observed, PAConfig(max_nodes=4, workers=2))
+            observed = compile_workload(name)
+            run_pa(observed, PAConfig(max_nodes=4, workers=2))
         finally:
-            bus.close()
             telemetry.disable()
             telemetry.reset()
         assert plain.render() == observed.render()
